@@ -1,5 +1,5 @@
-//! Criterion micro-benchmarks for the QPipe building blocks and the
-//! ablations DESIGN.md calls out:
+//! Criterion micro-benchmarks for the QPipe building blocks and the design
+//! ablations:
 //!
 //! * buffer-pool replacement policies under a scan-heavy reference pattern,
 //! * intermediate pipe throughput at fan-out 1 vs 4 (the broadcast cost of
@@ -10,7 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qpipe_common::colbatch::ColBatch;
-use qpipe_common::{Batch, DataType, Metrics, Schema, Tuple, Value};
+use qpipe_common::{DataType, Metrics, Schema, Tuple, Value};
 use qpipe_core::deadlock::{NodeId, WaitRegistry};
 use qpipe_core::pipe::{Pipe, PipeConfig};
 use qpipe_exec::expr::Expr;
@@ -60,8 +60,9 @@ fn pipe_fanout(c: &mut Criterion) {
                     .into_iter()
                     .map(|s| std::thread::spawn(move || s.collect_tuples().unwrap().len()))
                     .collect();
-                for i in 0..20_000i64 {
-                    producer.push(vec![Value::Int(i)]);
+                let rows: Vec<Tuple> = (0..20_000i64).map(|i| vec![Value::Int(i)]).collect();
+                for batch in rows.chunks(ColBatch::DEFAULT_CAPACITY) {
+                    producer.push_cols(ColBatch::from_rows(batch));
                 }
                 producer.finish();
                 handles.into_iter().map(|h| h.join().unwrap()).sum::<usize>()
@@ -124,7 +125,7 @@ fn exec_kernels(c: &mut Criterion) {
 /// pre-vectorization scanner loop) vs `eval_filter` selection vector +
 /// columnar gather. The acceptance bar for the vectorized path is ≥ 2×.
 fn scan_filter(c: &mut Criterion) {
-    let rows: Vec<Tuple> = (0..Batch::DEFAULT_CAPACITY as i64)
+    let rows: Vec<Tuple> = (0..ColBatch::DEFAULT_CAPACITY as i64)
         .map(|i| {
             vec![
                 Value::Int(i % 997),
@@ -192,7 +193,7 @@ fn page_decode(c: &mut Criterion) {
     use qpipe_storage::colpage::ColPageBuilder;
     use qpipe_storage::page::{encode_tuple, Page};
 
-    let n = Batch::DEFAULT_CAPACITY; // 256 rows — one page in both layouts
+    let n = ColBatch::DEFAULT_CAPACITY; // 256 rows — one page in either format
     let schema =
         Schema::of(&[("k", DataType::Int), ("d", DataType::Date), ("mode", DataType::Str)]);
     let rows: Vec<Tuple> = (0..n as i64)
@@ -255,7 +256,7 @@ fn hash_join_paths(c: &mut Criterion) {
     let right: Vec<Tuple> = (0..right_n)
         .map(|i| vec![Value::Int(i % 2048), Value::Float(i as f64), Value::str("probe-pay")])
         .collect();
-    let chunk = Batch::DEFAULT_CAPACITY;
+    let chunk = ColBatch::DEFAULT_CAPACITY;
     let left_batches: Vec<ColBatch> = left.chunks(chunk).map(ColBatch::from_rows).collect();
     let right_batches: Vec<ColBatch> = right.chunks(chunk).map(ColBatch::from_rows).collect();
 
@@ -307,7 +308,7 @@ fn agg_update_paths(c: &mut Criterion) {
         .map(|i| vec![Value::Int(i % 64), Value::Int(i), Value::Float(i as f64 * 0.25)])
         .collect();
     let batches: Vec<ColBatch> =
-        rows.chunks(Batch::DEFAULT_CAPACITY).map(ColBatch::from_rows).collect();
+        rows.chunks(ColBatch::DEFAULT_CAPACITY).map(ColBatch::from_rows).collect();
     let aggs = || {
         vec![
             AggSpec::count_star(),
@@ -364,7 +365,7 @@ fn sort_paths(c: &mut Criterion) {
         })
         .collect();
     let batches: Vec<ColBatch> =
-        rows.chunks(Batch::DEFAULT_CAPACITY).map(ColBatch::from_rows).collect();
+        rows.chunks(ColBatch::DEFAULT_CAPACITY).map(ColBatch::from_rows).collect();
     let keys = vec![SortKey::asc(0), SortKey::desc(1)];
 
     let ctx_with_budget = |budget: usize| {
@@ -436,7 +437,7 @@ fn filter_project_paths(c: &mut Criterion) {
         })
         .collect();
     let batches: Vec<ColBatch> =
-        rows.chunks(Batch::DEFAULT_CAPACITY).map(ColBatch::from_rows).collect();
+        rows.chunks(ColBatch::DEFAULT_CAPACITY).map(ColBatch::from_rows).collect();
     let pred = Expr::and([Expr::col(0).ge(Expr::lit(200)), Expr::col(2).lt(Expr::lit(600))]);
     let exprs = vec![Expr::col(3), Expr::col(0), Expr::col(1).mul(Expr::lit(2.0))];
 
@@ -493,7 +494,7 @@ fn morsel_scan(c: &mut Criterion) {
     let pool = BufferPool::new(disk.clone(), BufferPoolConfig::new(512, PolicyKind::Lru));
     let catalog = Catalog::new(disk, pool);
     catalog
-        .create_table_with_layout(
+        .create_table(
             "lineitem",
             Schema::of(&[
                 ("l_orderkey", DataType::Int),
@@ -516,7 +517,6 @@ fn morsel_scan(c: &mut Criterion) {
                 })
                 .collect(),
             Some(0),
-            qpipe_storage::StorageLayout::Columnar,
         )
         .unwrap();
     let ctx = ExecContext::new(catalog);

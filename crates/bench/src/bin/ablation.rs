@@ -1,4 +1,4 @@
-//! Ablation studies for the design choices DESIGN.md calls out:
+//! Ablation studies for the engine's main design choices:
 //!
 //! 1. **Buffer-pool policy** under the Figure-8 workload (does the Baseline/
 //!    DBMS-X gap really come from the replacement policy?).

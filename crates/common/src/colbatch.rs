@@ -1,8 +1,7 @@
 //! Columnar batches and selection vectors.
 //!
-//! The row [`Batch`](crate::batch::Batch) is the historical unit of data flow
-//! between operators; this module adds the vectorized alternative used on the
-//! shared-scan hot path. A [`ColBatch`] stores one typed [`Column`] per
+//! A [`ColBatch`] is the unit of data flow between operators: every pipe
+//! carries `Arc<ColBatch>`es. It stores one typed [`Column`] per
 //! attribute — a primitive slice (`i64` / `f64` / `Arc<str>` / `i32` days)
 //! plus an optional null bitmap — so predicate kernels can compare against
 //! contiguous memory with no per-row allocation and no `Value` cloning.
@@ -24,9 +23,10 @@
 //! at the few operator boundaries that still ingest `Tuple`s (merge join,
 //! nested-loop join, row-path fallbacks) and at the client result boundary;
 //! filter, projection, hash join, aggregation, and sort are batch-native.
+//! Operators that produce rows convert them back once with
+//! [`ColBatch::from_rows`].
 
-use crate::batch::Tuple;
-use crate::value::{cmp_i64_f64, Value};
+use crate::value::{cmp_i64_f64, Tuple, Value};
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -428,6 +428,9 @@ pub struct ColBatch {
 }
 
 impl ColBatch {
+    /// Rows per batch a producer emits (the pipe granularity).
+    pub const DEFAULT_CAPACITY: usize = 256;
+
     /// Column-ify `rows`. Short rows are padded with NULL so every column has
     /// the batch's full length (heap pages always yield uniform rows).
     pub fn from_rows(rows: &[Tuple]) -> Self {

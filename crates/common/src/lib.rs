@@ -2,14 +2,13 @@
 //!
 //! This crate holds everything that the storage manager, the conventional
 //! iterator engine, and the QPipe staged engine all need to agree on:
-//! [`Value`]s, [`Schema`]s, [`Tuple`]s and [`Batch`]es, the columnar
-//! [`ColBatch`]/[`SelVec`] layout the vectorized scan path uses (see
-//! [`colbatch`] for the layout contract), error types, global [`metrics`],
+//! [`Value`]s, [`Schema`]s and [`Tuple`]s, the columnar
+//! [`ColBatch`]/[`SelVec`] layout every pipe carries (see [`colbatch`] for
+//! the layout contract), error types, global [`metrics`],
 //! the memory [`govern`]or that turns operator budgets into leases, the
 //! per-query [`trace`] journal and operator probes behind `EXPLAIN
 //! ANALYZE`, and the simulated-time facilities in [`sim`].
 
-pub mod batch;
 pub mod colbatch;
 pub mod error;
 pub mod govern;
@@ -19,7 +18,6 @@ pub mod sim;
 pub mod trace;
 pub mod value;
 
-pub use batch::{AnyBatch, Batch, Tuple};
 pub use colbatch::{
     ColBatch, ColBatchBuilder, Column, ColumnBuilder, ColumnData, NullBitmap, SelVec,
 };
@@ -32,4 +30,4 @@ pub use trace::{
     OpProbe, OpStats, ProbeNode, QueryProfile, QueryTrace, TimedEvent, TraceEvent,
     DEFAULT_TRACE_CAPACITY,
 };
-pub use value::{cmp_i64_f64, float_as_exact_i64, Value};
+pub use value::{cmp_i64_f64, float_as_exact_i64, Tuple, Value};

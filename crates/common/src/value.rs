@@ -8,6 +8,9 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
+/// A row of values.
+pub type Tuple = Vec<Value>;
+
 /// A single runtime value.
 ///
 /// `Str` uses `Arc<str>` so that broadcasting batches to many consumers

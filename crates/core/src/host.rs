@@ -18,7 +18,7 @@ use crate::packet::Packet;
 use crate::pipe::PipeProducer;
 use parking_lot::Mutex;
 use qpipe_common::trace::{OpProbe, TraceEvent};
-use qpipe_common::{AnyBatch, Batch, Metrics};
+use qpipe_common::{ColBatch, Metrics};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -42,7 +42,7 @@ struct HostOutput {
 }
 
 impl HostOutput {
-    fn count(&self, batch: &AnyBatch) {
+    fn count(&self, batch: &ColBatch) {
         if let Some(p) = &self.probe {
             p.add_rows(batch.len() as u64);
             p.add_batches(1);
@@ -53,7 +53,7 @@ impl HostOutput {
 struct HostState {
     outputs: Vec<HostOutput>,
     /// Batches already emitted, for replay to late attachers.
-    history: Vec<Arc<AnyBatch>>,
+    history: Vec<Arc<ColBatch>>,
     emitted: u64,
     closed: bool,
     /// True while `push` holds the outputs outside the lock (a `wanted`
@@ -157,17 +157,8 @@ impl SharedHost {
     /// that attach mid-push receive this batch through the history replay
     /// (the history entry is recorded before the lock is released), so no
     /// output is ever missed or duplicated.
-    pub fn push(&self, batch: Batch) {
-        self.push_any(Arc::new(AnyBatch::Rows(batch)));
-    }
-
-    /// Broadcast a columnar batch (vectorized join/agg output) — same
-    /// replay/attach contract as [`push`](Self::push).
-    pub fn push_cols(&self, batch: qpipe_common::ColBatch) {
-        self.push_any(Arc::new(AnyBatch::Cols(batch)));
-    }
-
-    fn push_any(&self, batch: Arc<AnyBatch>) {
+    pub fn push_cols(&self, batch: ColBatch) {
+        let batch = Arc::new(batch);
         let mut outputs = {
             let mut st = self.state.lock();
             st.broadcasting = true;
@@ -322,8 +313,9 @@ mod tests {
         (packet, consumer, child_token)
     }
 
-    fn batch_of(vals: &[i64]) -> Batch {
-        vals.iter().map(|&v| vec![Value::Int(v)]).collect()
+    fn batch_of(vals: &[i64]) -> ColBatch {
+        let rows: Vec<Vec<Value>> = vals.iter().map(|&v| vec![Value::Int(v)]).collect();
+        ColBatch::from_rows(&rows)
     }
 
     #[test]
@@ -341,8 +333,8 @@ mod tests {
         let (packet, sat_cons, child_token) = make_packet();
         host.try_attach(packet).expect("window open");
         assert!(child_token.is_cancelled(), "satellite subtree terminated");
-        host.push(batch_of(&[1, 2]));
-        host.push(batch_of(&[3]));
+        host.push_cols(batch_of(&[1, 2]));
+        host.push_cols(batch_of(&[3]));
         host.finish();
         assert_eq!(host_cons.collect_tuples().unwrap().len(), 3);
         assert_eq!(sat_cons.collect_tuples().unwrap().len(), 3);
@@ -360,11 +352,11 @@ mod tests {
             Metrics::new(),
             None,
         );
-        host.push(batch_of(&[1]));
-        host.push(batch_of(&[2]));
+        host.push_cols(batch_of(&[1]));
+        host.push_cols(batch_of(&[2]));
         let (packet, sat_cons, _) = make_packet();
         host.try_attach(packet).expect("2 batches <= backfill 4");
-        host.push(batch_of(&[3]));
+        host.push_cols(batch_of(&[3]));
         host.finish();
         assert_eq!(host_cons.collect_tuples().unwrap().len(), 3);
         assert_eq!(sat_cons.collect_tuples().unwrap().len(), 3, "history replayed");
@@ -384,7 +376,7 @@ mod tests {
             None,
         );
         for i in 0..3 {
-            host.push(batch_of(&[i]));
+            host.push_cols(batch_of(&[i]));
         }
         let (packet, _sat_cons, child_token) = make_packet();
         assert!(host.try_attach(packet).is_err(), "window expired");
@@ -406,7 +398,7 @@ mod tests {
             None,
         );
         for i in 0..50 {
-            host.push(batch_of(&[i]));
+            host.push_cols(batch_of(&[i]));
         }
         let (packet, sat_cons, _) = make_packet();
         host.try_attach(packet).expect("whole-lifetime window");
@@ -473,7 +465,7 @@ mod tests {
         let h2 = host.clone();
         let pusher = std::thread::spawn(move || {
             for i in 0..40 {
-                h2.push(batch_of(&[i]));
+                h2.push_cols(batch_of(&[i]));
             }
             h2.finish();
         });

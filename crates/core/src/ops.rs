@@ -11,7 +11,7 @@ use crate::packet::Packet;
 use crate::pipe::{PipeConsumer, PipeIter};
 use qpipe_common::colbatch::SelVec;
 use qpipe_common::trace::{OpProbe, QueryTrace, TraceEvent};
-use qpipe_common::{AnyBatch, Batch, ColBatch, MemClass, Metrics, QResult, Tuple, Value};
+use qpipe_common::{ColBatch, MemClass, Metrics, QResult, Tuple, Value};
 use qpipe_exec::expr::Expr;
 use qpipe_exec::iter::{
     build, HashJoinIter, MergeJoinIter, NestedLoopJoinIter, SortIter, TupleIter, VecIter,
@@ -170,37 +170,33 @@ fn window_shareable(plan: &PlanNode) -> bool {
     !matches!(plan, PlanNode::Filter { .. } | PlanNode::Project { .. })
 }
 
-/// Drive an iterator to completion, pushing batches into the host.
+/// Drive a row iterator to completion, pushing its output into the host as
+/// columnar batches — the one place row-producing operators (merge join,
+/// nested-loop join, bounded index scans, the OSP-off table scan, and the
+/// grace-join and ragged-sort fallbacks) convert to the pipes' batch type.
 fn drain_into_host(
     mut it: impl TupleIter,
     host: &SharedHost,
     cancel: &crate::packet::CancelToken,
 ) -> QResult<()> {
-    let mut batch = Batch::with_capacity(Batch::DEFAULT_CAPACITY);
+    let mut rows = Vec::with_capacity(ColBatch::DEFAULT_CAPACITY);
     loop {
         // A severed packet may still be hosting satellites from other
         // queries; only stop once nobody reads any of the outputs.
         if cancel.is_cancelled() && !host.wanted() {
             return Ok(());
         }
-        match it.next()? {
-            Some(t) => {
-                batch.push(t);
-                if batch.is_full() {
-                    host.push(std::mem::replace(
-                        &mut batch,
-                        Batch::with_capacity(Batch::DEFAULT_CAPACITY),
-                    ));
-                }
-            }
-            None => {
-                if !batch.is_empty() {
-                    host.push(batch);
-                }
-                return Ok(());
-            }
+        let Some(t) = it.next()? else { break };
+        rows.push(t);
+        if rows.len() == ColBatch::DEFAULT_CAPACITY {
+            host.push_cols(ColBatch::from_rows(&rows));
+            rows.clear();
         }
     }
+    if !rows.is_empty() {
+        host.push_cols(ColBatch::from_rows(&rows));
+    }
+    Ok(())
 }
 
 fn run_operator(
@@ -278,20 +274,9 @@ impl TupleIter for SeqIter {
     }
 }
 
-/// Broadcast the pending row batch, leaving an empty one in its place
-/// (no-op when nothing is pending). Shared by every worker that interleaves
-/// row output with columnar pushes — the flush keeps the stream in arrival
-/// order.
-fn flush_rows(host: &SharedHost, rows_out: &mut Batch) {
-    if !rows_out.is_empty() {
-        host.push(std::mem::replace(rows_out, Batch::with_capacity(Batch::DEFAULT_CAPACITY)));
-    }
-}
-
-/// Hash join over `Arc<AnyBatch>` streams: build accumulates columnar
-/// batches without materializing a single `Tuple`, probe matches whole
-/// batches through the `viter` kernels. Row batches interleaved in either
-/// stream are handled in place; a build side the governor refuses to cover
+/// Hash join over `Arc<ColBatch>` streams: build accumulates batches
+/// without materializing a single `Tuple`, probe matches whole batches
+/// through the `viter` kernels. A build side the governor refuses to cover
 /// (hash budget reached, or the global budget exhausted by concurrent
 /// queries — or ragged input widths) falls back to the row-path
 /// [`HashJoinIter`], whose grace partitioning is unchanged.
@@ -313,10 +298,7 @@ fn run_hash_join(
             return Ok(());
         }
         let Some(batch) = left.recv()? else { break };
-        let accepted = match &*batch {
-            AnyBatch::Cols(c) => build.add(c),
-            AnyBatch::Rows(b) => build.add(&ColBatch::from_rows(b.rows())),
-        };
+        let accepted = build.add(&batch);
         let covered = lease.covers(build.rows());
         if !covered {
             obs.mem_denied();
@@ -340,32 +322,13 @@ fn run_hash_join(
         }
     }
     let table = finish_build(build, env)?;
-    let mut rows_out = Batch::with_capacity(Batch::DEFAULT_CAPACITY);
     while let Some(batch) = right.recv()? {
         if cancel.is_cancelled() && !host.wanted() {
             return Ok(());
         }
-        match &*batch {
-            AnyBatch::Cols(c) => {
-                // Flush pending row output first so the stream keeps the
-                // probe side's arrival order.
-                flush_rows(host, &mut rows_out);
-                table.probe(c, right_key, Batch::DEFAULT_CAPACITY, |out| host.push_cols(out))?;
-                env.metrics.add_vec_join_batch();
-            }
-            AnyBatch::Rows(b) => {
-                for t in b.rows() {
-                    table.probe_row(t, right_key, |row| {
-                        rows_out.push(row);
-                        if rows_out.is_full() {
-                            flush_rows(host, &mut rows_out);
-                        }
-                    })?;
-                }
-            }
-        }
+        table.probe(&batch, right_key, ColBatch::DEFAULT_CAPACITY, |out| host.push_cols(out))?;
+        env.metrics.add_vec_join_batch();
     }
-    flush_rows(host, &mut rows_out);
     Ok(())
 }
 
@@ -376,12 +339,12 @@ fn run_hash_join(
 /// the serial [`HashJoinBuild::finish`].
 fn finish_build(build: HashJoinBuild, env: &OpEnv) -> QResult<HashJoinTable> {
     let workers = env.tasks.workers();
-    if workers <= 1 || build.rows() < 2 * Batch::DEFAULT_CAPACITY {
+    if workers <= 1 || build.rows() < 2 * ColBatch::DEFAULT_CAPACITY {
         return build.finish();
     }
     let (batch, key) = build.into_batch();
     let n = batch.len();
-    let stripes = workers.min(n.div_ceil(Batch::DEFAULT_CAPACITY)).max(1);
+    let stripes = workers.min(n.div_ceil(ColBatch::DEFAULT_CAPACITY)).max(1);
     let per = n.div_ceil(stripes);
     let shared = Arc::new(batch);
     let (tx, rx) = std::sync::mpsc::channel();
@@ -423,9 +386,8 @@ fn finish_build(build: HashJoinBuild, env: &OpEnv) -> QResult<HashJoinTable> {
     HashJoinTable::from_hashes(batch, key, hashes)
 }
 
-/// Hash aggregation over `Arc<AnyBatch>` streams: columnar batches fold
-/// through [`HashAgg`]'s column-run update, row batches update the same
-/// group states in place — one operator, no fallback seam. The group table
+/// Hash aggregation over `Arc<ColBatch>` streams: batches fold through
+/// [`HashAgg`]'s column-run update. The group table
 /// grows under a governor lease (aggregation has no spill path, so a denied
 /// grant is counted as `mem_waited` and the update proceeds — overshoot is
 /// visible rather than silent). Output is built as a `ColBatch` and emitted
@@ -451,38 +413,24 @@ fn run_aggregate(
             use qpipe_exec::plan::AggFunc;
             matches!(s.func, AggFunc::CountStar | AggFunc::Count | AggFunc::Min | AggFunc::Max)
         });
-    let round_cap = env.tasks.workers() * 4 * Batch::DEFAULT_CAPACITY;
-    let mut pending: Vec<Arc<AnyBatch>> = Vec::new();
+    let round_cap = env.tasks.workers() * 4 * ColBatch::DEFAULT_CAPACITY;
+    let mut pending: Vec<Arc<ColBatch>> = Vec::new();
     let mut pending_rows = 0usize;
     while let Some(batch) = input.recv()? {
         if cancel.is_cancelled() && !host.wanted() {
             return Ok(());
         }
-        match &*batch {
-            AnyBatch::Cols(c) => {
-                env.metrics.add_vec_agg_batch();
-                if parallel_ok {
-                    // Defer into the current round; fold when it fills.
-                    pending_rows += c.len();
-                    pending.push(batch.clone());
-                    if pending_rows >= round_cap {
-                        fold_pending(&mut agg, group_by, aggs, &mut pending, env)?;
-                        pending_rows = 0;
-                    }
-                } else {
-                    agg.update_cols(c)?;
-                }
-            }
-            AnyBatch::Rows(b) => {
-                // Keep stream order exact: fold the deferred columnar round
-                // before the rows so tie-breaking sees values in arrival
-                // order.
+        env.metrics.add_vec_agg_batch();
+        if parallel_ok {
+            // Defer into the current round; fold when it fills.
+            pending_rows += batch.len();
+            pending.push(batch);
+            if pending_rows >= round_cap {
                 fold_pending(&mut agg, group_by, aggs, &mut pending, env)?;
                 pending_rows = 0;
-                for t in b.rows() {
-                    agg.update_row(t)?;
-                }
             }
+        } else {
+            agg.update_cols(&batch)?;
         }
         if !lease.covers(agg.num_groups()) {
             obs.mem_denied();
@@ -492,23 +440,22 @@ fn run_aggregate(
     let out = agg.finish_cols();
     let mut at = 0;
     while at < out.len() {
-        let n = (out.len() - at).min(Batch::DEFAULT_CAPACITY);
+        let n = (out.len() - at).min(ColBatch::DEFAULT_CAPACITY);
         host.push_cols(out.slice(at, n));
         at += n;
     }
     Ok(())
 }
 
-/// Fold one round of deferred columnar batches into `agg`: contiguous runs
-/// of batches become per-worker partial [`HashAgg`]s on the task pool, then
+/// Fold one round of deferred batches into `agg`: contiguous runs of
+/// batches become per-worker partial [`HashAgg`]s on the task pool, then
 /// merge back in stream order ([`HashAgg::merge`] documents why that is
-/// exact for the gated functions). Row batches never enter a round, so this
-/// only sees `AnyBatch::Cols`.
+/// exact for the gated functions).
 fn fold_pending(
     agg: &mut HashAgg,
     group_by: &[usize],
     aggs: &[AggSpec],
-    pending: &mut Vec<Arc<AnyBatch>>,
+    pending: &mut Vec<Arc<ColBatch>>,
     env: &OpEnv,
 ) -> QResult<()> {
     let batches = std::mem::take(pending);
@@ -518,9 +465,7 @@ fn fold_pending(
     let stripes = env.tasks.workers().min(batches.len());
     if stripes <= 1 {
         for b in &batches {
-            if let AnyBatch::Cols(c) = &**b {
-                agg.update_cols(c)?;
-            }
+            agg.update_cols(b)?;
         }
         return Ok(());
     }
@@ -528,16 +473,14 @@ fn fold_pending(
     let (tx, rx) = std::sync::mpsc::channel();
     let mut dispatched = 0;
     for (s, chunk) in batches.chunks(per).enumerate() {
-        let chunk: Vec<Arc<AnyBatch>> = chunk.to_vec();
+        let chunk: Vec<Arc<ColBatch>> = chunk.to_vec();
         let job_group_by = group_by.to_vec();
         let job_aggs = aggs.to_vec();
         let job_tx = tx.clone();
         let fold = move || -> QResult<HashAgg> {
             let mut part = HashAgg::new(job_group_by, job_aggs);
             for b in &chunk {
-                if let AnyBatch::Cols(c) = &**b {
-                    part.update_cols(c)?;
-                }
+                part.update_cols(b)?;
             }
             Ok(part)
         };
@@ -551,9 +494,7 @@ fn fold_pending(
             let lo = s * per;
             let mut part = HashAgg::new(group_by.to_vec(), aggs.to_vec());
             for b in &batches[lo..(lo + per).min(batches.len())] {
-                if let AnyBatch::Cols(c) = &**b {
-                    part.update_cols(c)?;
-                }
+                part.update_cols(b)?;
             }
             let _ = tx.send((s, Ok(part)));
         }
@@ -580,12 +521,9 @@ fn fold_pending(
 // Vectorized filter / projection / sort (batch-native µEngine workers)
 // ---------------------------------------------------------------------------
 
-/// Filter over `Arc<AnyBatch>` streams: columnar batches run the
-/// selection-vector kernels (`Expr::eval_filter`) and are compacted once
-/// (`gather`) before broadcast — no `Tuple` is ever materialized. Row
-/// batches keep the row interpreter and accumulate into full output batches
-/// exactly as before; interleaving flushes pending rows first so the stream
-/// keeps arrival order.
+/// Filter over `Arc<ColBatch>` streams: the selection-vector kernels
+/// (`Expr::eval_filter`) run per batch and the survivors are compacted once
+/// (`gather`) before broadcast — no `Tuple` is ever materialized.
 fn run_filter(
     input: PipeConsumer,
     predicate: &Expr,
@@ -593,39 +531,22 @@ fn run_filter(
     cancel: &crate::packet::CancelToken,
     env: &OpEnv,
 ) -> QResult<()> {
-    let mut rows_out = Batch::with_capacity(Batch::DEFAULT_CAPACITY);
     while let Some(batch) = input.recv()? {
         if cancel.is_cancelled() && !host.wanted() {
             return Ok(());
         }
-        match &*batch {
-            AnyBatch::Cols(c) => {
-                flush_rows(host, &mut rows_out);
-                let sel = predicate.eval_filter(c)?;
-                env.metrics.add_vec_filter_batch();
-                if !sel.is_empty() {
-                    host.push_cols(c.gather(&sel));
-                }
-            }
-            AnyBatch::Rows(b) => {
-                for t in b.rows() {
-                    if predicate.eval_bool(t)? {
-                        rows_out.push(t.clone());
-                        if rows_out.is_full() {
-                            flush_rows(host, &mut rows_out);
-                        }
-                    }
-                }
-            }
+        let sel = predicate.eval_filter(&batch)?;
+        env.metrics.add_vec_filter_batch();
+        if !sel.is_empty() {
+            host.push_cols(batch.gather(&sel));
         }
     }
-    flush_rows(host, &mut rows_out);
     Ok(())
 }
 
-/// Projection over `Arc<AnyBatch>` streams: columnar batches evaluate the
-/// expression list column-at-a-time (`project_batch` — an `Arc`-bump gather
-/// for plain column references), row batches keep the row interpreter.
+/// Projection over `Arc<ColBatch>` streams: the expression list evaluates
+/// column-at-a-time (`project_batch` — an `Arc`-bump gather for plain column
+/// references).
 fn run_project(
     input: PipeConsumer,
     exprs: &[Expr],
@@ -633,41 +554,22 @@ fn run_project(
     cancel: &crate::packet::CancelToken,
     env: &OpEnv,
 ) -> QResult<()> {
-    let mut rows_out = Batch::with_capacity(Batch::DEFAULT_CAPACITY);
     while let Some(batch) = input.recv()? {
         if cancel.is_cancelled() && !host.wanted() {
             return Ok(());
         }
-        match &*batch {
-            AnyBatch::Cols(c) => {
-                flush_rows(host, &mut rows_out);
-                let out = project_batch(exprs, c, &SelVec::all(c.len()))?;
-                env.metrics.add_vec_project_batch();
-                if !out.is_empty() {
-                    host.push_cols(out);
-                }
-            }
-            AnyBatch::Rows(b) => {
-                for t in b.rows() {
-                    let mut row = Vec::with_capacity(exprs.len());
-                    for e in exprs {
-                        row.push(e.eval(t)?);
-                    }
-                    rows_out.push(row);
-                    if rows_out.is_full() {
-                        flush_rows(host, &mut rows_out);
-                    }
-                }
-            }
+        let out = project_batch(exprs, &batch, &SelVec::all(batch.len()))?;
+        env.metrics.add_vec_project_batch();
+        if !out.is_empty() {
+            host.push_cols(out);
         }
     }
-    flush_rows(host, &mut rows_out);
     Ok(())
 }
 
-/// Sort over `Arc<AnyBatch>` streams: [`VecSort`] accumulates columnar
-/// batches (row batches column-ify into the same accumulator), sorts a
-/// permutation over the key columns, and spills/merges columnar runs —
+/// Sort over `Arc<ColBatch>` streams: [`VecSort`] accumulates batches,
+/// sorts a permutation over the key columns, and spills/merges columnar
+/// runs —
 /// output order is bit-identical to [`SortIter`]. Ragged input widths fall
 /// back to the row-path sort with everything buffered so far replayed in
 /// front of the remaining stream.
@@ -684,17 +586,9 @@ fn run_sort(
             return Ok(());
         }
         let Some(batch) = input.recv()? else { break };
-        let accepted = match &*batch {
-            AnyBatch::Cols(c) => {
-                let ok = sort.push_cols(c)?;
-                if ok {
-                    env.metrics.add_vec_sort_batch();
-                }
-                ok
-            }
-            AnyBatch::Rows(b) => sort.push_rows(b.rows())?,
-        };
-        if !accepted {
+        if sort.push_cols(&batch)? {
+            env.metrics.add_vec_sort_batch();
+        } else {
             // Ragged widths: replay everything buffered so far (spilled runs
             // stream chunk-at-a-time — the fallback stays within the same
             // memory bound the spills were honoring), then the rejected
@@ -860,8 +754,8 @@ mod tests {
         let pipe = Pipe::new(PipeConfig { capacity: 1024, backfill: 0 }, NodeId(1), reg);
         let c = pipe.attach_consumer(NodeId(2), false);
         let mut p = pipe.producer();
-        for r in rows {
-            p.push(r);
+        if !rows.is_empty() {
+            p.push_cols(ColBatch::from_rows(&rows));
         }
         p.finish();
         PipeIter::new(c)

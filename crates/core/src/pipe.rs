@@ -2,8 +2,7 @@
 //!
 //! QPipe µEngines exchange data through dedicated buffers (paper §4.2,
 //! Figure 5b). A [`Pipe`] is a bounded 1-producer-N-consumer broadcast
-//! channel of `Arc<AnyBatch>`es — row batches from the iterator-model
-//! operators, columnar batches from the vectorized scan path:
+//! channel of `Arc<ColBatch>`es:
 //!
 //! * The producer blocks while **any** attached consumer's queue is full —
 //!   "if any of the consumers is slower than the producer, all queries will
@@ -22,7 +21,7 @@
 use crate::deadlock::{NodeId, WaitKind, WaitRegistry};
 use parking_lot::{Condvar, Mutex};
 use qpipe_common::trace::OpProbe;
-use qpipe_common::{AnyBatch, Batch, ColBatch, QError, QResult, Tuple};
+use qpipe_common::{ColBatch, QError, QResult, Tuple};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -49,7 +48,7 @@ impl Default for PipeConfig {
 
 #[derive(Debug)]
 struct ConsumerQueue {
-    queue: VecDeque<Arc<AnyBatch>>,
+    queue: VecDeque<Arc<ColBatch>>,
     detached: bool,
     /// Node id of the packet draining this queue (for waits-for edges).
     node: NodeId,
@@ -59,7 +58,7 @@ struct ConsumerQueue {
 struct PipeState {
     consumers: HashMap<usize, ConsumerQueue>,
     /// Retained recent batches for backfill, most recent last.
-    history: VecDeque<Arc<AnyBatch>>,
+    history: VecDeque<Arc<ColBatch>>,
     /// Total batches ever produced.
     produced: u64,
     eof: bool,
@@ -145,7 +144,7 @@ impl Pipe {
 
     /// Create the producer handle.
     pub fn producer(self: &Arc<Self>) -> PipeProducer {
-        PipeProducer { pipe: self.clone(), builder: qpipe_common::batch::BatchBuilder::new() }
+        PipeProducer { pipe: self.clone() }
     }
 
     /// Lift the capacity bound permanently (deadlock resolution: the paper
@@ -182,7 +181,7 @@ impl Pipe {
         self.state.lock().consumers.values().filter(|c| !c.detached).count()
     }
 
-    fn send(&self, batch: Arc<AnyBatch>) {
+    fn send(&self, batch: Arc<ColBatch>) {
         let mut st = self.state.lock();
         loop {
             if st.materialized {
@@ -252,7 +251,7 @@ impl Pipe {
         id: usize,
         node: NodeId,
         probe: Option<&OpProbe>,
-    ) -> QResult<Option<Arc<AnyBatch>>> {
+    ) -> QResult<Option<Arc<ColBatch>>> {
         let mut st = self.state.lock();
         loop {
             // A failed producer fails the consumer promptly — queued batches
@@ -297,59 +296,34 @@ impl Pipe {
     }
 }
 
-/// Producer handle: push tuples/batches; close on drop.
+/// Producer handle: push batches; close on drop.
 pub struct PipeProducer {
     pipe: Arc<Pipe>,
-    builder: qpipe_common::batch::BatchBuilder,
 }
 
 impl PipeProducer {
-    /// Push one tuple, sending a batch when full.
-    pub fn push(&mut self, tuple: Tuple) {
-        if let Some(batch) = self.builder.push(tuple) {
-            self.pipe.send(Arc::new(AnyBatch::Rows(batch)));
-        }
-    }
-
     /// Number of batches this producer's pipe has sent (observability).
     pub fn batches_sent(&self) -> u64 {
         self.pipe.produced()
     }
 
-    /// Push a whole row batch.
-    pub fn push_batch(&mut self, batch: Batch) {
-        self.flush_pending();
-        self.pipe.send(Arc::new(AnyBatch::Rows(batch)));
-    }
-
-    /// Push a columnar batch (vectorized scan path).
+    /// Push a batch.
     pub fn push_cols(&mut self, batch: ColBatch) {
-        self.flush_pending();
-        self.pipe.send(Arc::new(AnyBatch::Cols(batch)));
+        self.pipe.send(Arc::new(batch));
     }
 
     /// Push an already-shared batch without copying (broadcast path).
-    pub fn push_shared(&mut self, batch: Arc<AnyBatch>) {
-        self.flush_pending();
+    pub fn push_shared(&mut self, batch: Arc<ColBatch>) {
         self.pipe.send(batch);
     }
 
-    fn flush_pending(&mut self) {
-        if let Some(pending) = self.builder.finish() {
-            self.pipe.send(Arc::new(AnyBatch::Rows(pending)));
-        }
-    }
-
-    /// Flush any buffered tuples and mark end-of-stream.
-    pub fn finish(mut self) {
-        self.flush_pending();
+    /// Mark end-of-stream.
+    pub fn finish(self) {
         self.pipe.close();
     }
 
-    /// Fail the stream: consumers observe `error` instead of EOF. Buffered
-    /// tuples are discarded — a failed packet delivers nothing further.
-    pub fn fail(mut self, error: QError) {
-        let _ = self.builder.finish();
+    /// Fail the stream: consumers observe `error` instead of EOF.
+    pub fn fail(self, error: QError) {
         self.pipe.fail(error);
     }
 
@@ -361,8 +335,8 @@ impl PipeProducer {
 impl Drop for PipeProducer {
     fn drop(&mut self) {
         // Defensive close so consumers never hang if a producer panics or is
-        // dropped without finish(); residual buffered tuples are flushed.
-        self.flush_pending();
+        // dropped without finish(). A no-op after `finish` or `fail`: a
+        // failed pipe keeps its error.
         self.pipe.close();
     }
 }
@@ -385,7 +359,7 @@ impl PipeConsumer {
 
     /// Blocking receive; `Ok(None)` at end of stream, `Err` when the
     /// producer failed the pipe (the packet's results are incomplete).
-    pub fn recv(&self) -> QResult<Option<Arc<AnyBatch>>> {
+    pub fn recv(&self) -> QResult<Option<Arc<ColBatch>>> {
         self.pipe.recv(self.id, self.node, self.probe.as_deref())
     }
 
@@ -393,18 +367,13 @@ impl PipeConsumer {
         &self.pipe
     }
 
-    /// Drain everything into a vector of tuples, materializing columnar
-    /// batches at this (row-engine) boundary. A batch this consumer is the
-    /// last holder of is moved, not copied. Errs when the producer failed
-    /// mid-stream — a failed packet never passes off partial output as
-    /// complete results.
+    /// Drain everything into a vector of tuples, materializing the batches
+    /// at this (client) boundary. Errs when the producer failed mid-stream —
+    /// a failed packet never passes off partial output as complete results.
     pub fn collect_tuples(self) -> QResult<Vec<Tuple>> {
         let mut out = Vec::new();
         while let Some(b) = self.recv()? {
-            match Arc::try_unwrap(b) {
-                Ok(owned) => out.extend(owned.into_rows()),
-                Err(shared) => out.extend(shared.to_rows()),
-            }
+            out.extend(b.to_rows());
         }
         Ok(out)
     }
@@ -422,7 +391,7 @@ impl Drop for PipeConsumer {
 /// This is the row-materialization boundary: a columnar batch crossing it is
 /// flattened back into `Vec<Tuple>`. Hash join, aggregation, filter,
 /// projection, and sort no longer ingest through here (they consume
-/// `Arc<AnyBatch>` directly — see `ops::run_hash_join` / `run_aggregate` /
+/// `Arc<ColBatch>` directly — see `ops::run_hash_join` / `run_aggregate` /
 /// `run_filter` / `run_project` / `run_sort`); only merge join, nested-loop
 /// join, and row-path fallbacks still do. Each columnar batch this adapter
 /// does flatten is counted so tests can assert the hot path stays batched
@@ -457,14 +426,10 @@ impl qpipe_exec::iter::TupleIter for PipeIter {
             match self.consumer.recv()? {
                 None => return Ok(None),
                 Some(batch) => {
-                    if let (Some(m), AnyBatch::Cols(_)) = (&self.metrics, &*batch) {
+                    if let Some(m) = &self.metrics {
                         m.add_col_rowified();
                     }
-                    // Sole-holder batches are moved out instead of cloned.
-                    self.current = match Arc::try_unwrap(batch) {
-                        Ok(owned) => owned.into_rows(),
-                        Err(shared) => shared.to_rows(),
-                    };
+                    self.current = batch.to_rows();
                     self.pos = 0;
                 }
             }
@@ -486,14 +451,20 @@ mod tests {
         vec![Value::Int(i)]
     }
 
+    /// Push `range` as one-column rows, `ColBatch::DEFAULT_CAPACITY` per batch.
+    fn push_ints(producer: &mut PipeProducer, range: std::ops::Range<i64>) {
+        let rows: Vec<Tuple> = range.map(tuple).collect();
+        for chunk in rows.chunks(ColBatch::DEFAULT_CAPACITY) {
+            producer.push_cols(ColBatch::from_rows(chunk));
+        }
+    }
+
     #[test]
     fn single_consumer_round_trip() {
         let pipe = Pipe::new(PipeConfig::default(), NodeId(1), registry());
         let consumer = pipe.attach_consumer(NodeId(2), false);
         let mut producer = pipe.producer();
-        for i in 0..1000 {
-            producer.push(tuple(i));
-        }
+        push_ints(&mut producer, 0..1000);
         producer.finish();
         let rows = consumer.collect_tuples().unwrap();
         assert_eq!(rows.len(), 1000);
@@ -507,9 +478,7 @@ mod tests {
             (0..3).map(|i| pipe.attach_consumer(NodeId(10 + i), false)).collect();
         let mut producer = pipe.producer();
         let handle = std::thread::spawn(move || {
-            for i in 0..600 {
-                producer.push(tuple(i));
-            }
+            push_ints(&mut producer, 0..600);
             producer.finish();
         });
         let mut joins = Vec::new();
@@ -531,9 +500,7 @@ mod tests {
         let producer_done = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let flag = producer_done.clone();
         let h = std::thread::spawn(move || {
-            for i in 0..2000 {
-                producer.push(tuple(i));
-            }
+            push_ints(&mut producer, 0..2000);
             producer.finish();
             flag.store(true, Ordering::SeqCst);
         });
@@ -551,15 +518,13 @@ mod tests {
         let pipe = Pipe::new(PipeConfig { capacity: 64, backfill: 64 }, NodeId(1), registry());
         let early = pipe.attach_consumer(NodeId(2), false);
         let mut producer = pipe.producer();
-        for i in 0..Batch::DEFAULT_CAPACITY as i64 * 3 {
-            producer.push(tuple(i));
-        }
+        push_ints(&mut producer, 0..ColBatch::DEFAULT_CAPACITY as i64 * 3);
         assert!(pipe.backfill_covers_all());
         // Late consumer with backfill sees everything.
         let late = pipe.attach_consumer(NodeId(3), true);
         producer.finish();
-        assert_eq!(early.collect_tuples().unwrap().len(), Batch::DEFAULT_CAPACITY * 3);
-        assert_eq!(late.collect_tuples().unwrap().len(), Batch::DEFAULT_CAPACITY * 3);
+        assert_eq!(early.collect_tuples().unwrap().len(), ColBatch::DEFAULT_CAPACITY * 3);
+        assert_eq!(late.collect_tuples().unwrap().len(), ColBatch::DEFAULT_CAPACITY * 3);
     }
 
     #[test]
@@ -567,9 +532,7 @@ mod tests {
         let pipe = Pipe::new(PipeConfig { capacity: 256, backfill: 2 }, NodeId(1), registry());
         let _sink = pipe.attach_consumer(NodeId(2), false);
         let mut producer = pipe.producer();
-        for i in 0..Batch::DEFAULT_CAPACITY as i64 * 5 {
-            producer.push(tuple(i));
-        }
+        push_ints(&mut producer, 0..ColBatch::DEFAULT_CAPACITY as i64 * 5);
         assert!(!pipe.backfill_covers_all(), "5 batches > window of 2");
     }
 
@@ -580,9 +543,7 @@ mod tests {
         let mut producer = pipe.producer();
         let pipe2 = pipe.clone();
         let h = std::thread::spawn(move || {
-            for i in 0..2000 {
-                producer.push(tuple(i));
-            }
+            push_ints(&mut producer, 0..2000);
             producer.finish();
         });
         std::thread::sleep(Duration::from_millis(30));
@@ -606,8 +567,8 @@ mod tests {
         let c = pipe.attach_consumer(NodeId(2), false);
         {
             let mut p = pipe.producer();
-            p.push(tuple(1));
-            // Dropped without finish() — must still flush + close.
+            push_ints(&mut p, 1..2);
+            // Dropped without finish() — must still close.
         }
         let rows = c.collect_tuples().unwrap();
         assert_eq!(rows.len(), 1);
@@ -619,9 +580,7 @@ mod tests {
         let pipe = Pipe::new(PipeConfig::default(), NodeId(1), registry());
         let c = pipe.attach_consumer(NodeId(2), false);
         let mut producer = pipe.producer();
-        for i in 0..10 {
-            producer.push(tuple(i));
-        }
+        push_ints(&mut producer, 0..10);
         producer.finish();
         let mut it = PipeIter::new(c);
         let mut n = 0;
@@ -637,7 +596,7 @@ mod tests {
         let pipe = Pipe::new(PipeConfig::default(), NodeId(1), registry());
         let c = pipe.attach_consumer(NodeId(2), false);
         let mut producer = pipe.producer();
-        producer.push(tuple(1));
+        push_ints(&mut producer, 1..2);
         producer.fail(QError::Storage("bad page".into()));
         let err = c.collect_tuples().expect_err("failure must not look like EOF");
         assert_eq!(err, QError::Storage("bad page".into()));
@@ -663,11 +622,9 @@ mod tests {
         let pipe = Pipe::new(PipeConfig { capacity: 1, backfill: 0 }, NodeId(1), reg.clone());
         let slow = pipe.attach_consumer(NodeId(2), false);
         let mut producer = pipe.producer();
-        let n = Batch::DEFAULT_CAPACITY as i64 * 8;
+        let n = ColBatch::DEFAULT_CAPACITY as i64 * 8;
         let h = std::thread::spawn(move || {
-            for i in 0..n {
-                producer.push(tuple(i));
-            }
+            push_ints(&mut producer, 0..n);
             producer.finish();
         });
         // Wait until the producer blocks.

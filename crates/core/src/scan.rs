@@ -20,10 +20,10 @@
 use crate::pipe::PipeProducer;
 use parking_lot::Mutex;
 use qpipe_common::trace::{OpProbe, QueryTrace, TraceEvent};
-use qpipe_common::{AnyBatch, ColBatch, Metrics, QError, QResult, SelVec};
+use qpipe_common::{ColBatch, Metrics, QError, QResult, SelVec};
 use qpipe_exec::expr::Expr;
 use qpipe_exec::iter::ExecContext;
-use qpipe_storage::Block;
+use qpipe_storage::{BufferPool, FileId};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -419,63 +419,53 @@ impl ScanManager {
     /// decoding "all columns, uncached" would cost more than it saves.
     fn fetch_page(
         &self,
-        pool: &Arc<qpipe_storage::BufferPool>,
-        file: qpipe_storage::FileId,
+        pool: &Arc<BufferPool>,
+        file: FileId,
         position: u64,
         union: Option<&[usize]>,
-    ) -> QResult<(Arc<AnyBatch>, bool, FetchObs)> {
+    ) -> QResult<(Arc<ColBatch>, bool, FetchObs)> {
         let started = std::time::Instant::now();
         let (block, retries) = pool.get_observed(file, position)?;
         let obs = FetchObs { fetch_ns: started.elapsed().as_nanos() as u64, retries };
-        match block {
-            Block::Columnar(cp) => {
-                match union.filter(|u| {
-                    u.len() < cp.num_cols() && u.last().is_none_or(|&c| c < cp.num_cols())
-                }) {
-                    Some(u) => {
-                        let batch = cp.decode_cols(u)?;
-                        self.metrics.add_pruned_page();
-                        Ok((Arc::new(AnyBatch::Cols(batch)), true, obs))
-                    }
-                    None => Ok((
-                        Arc::new(AnyBatch::Cols(cp.materialize()?.as_ref().clone())),
-                        false,
-                        obs,
-                    )),
-                }
+        let cp = block.as_columnar()?;
+        match union
+            .filter(|u| u.len() < cp.num_cols() && u.last().is_none_or(|&c| c < cp.num_cols()))
+        {
+            Some(u) => {
+                let batch = cp.decode_cols(u)?;
+                self.metrics.add_pruned_page();
+                Ok((Arc::new(batch), true, obs))
             }
-            Block::Slotted(p) => {
-                Ok((Arc::new(AnyBatch::Cols(ColBatch::from_rows(&p.decode_tuples()?))), false, obs))
-            }
+            None => Ok((cp.materialize()?, false, obs)),
         }
+    }
+
+    /// One page job of a morsel: page `k` of `job`, with a panic out of the
+    /// fetch/decode path converted to an error. Runs on a task-pool worker,
+    /// or inline on the scanner thread when the pool is off or the morsel
+    /// is one page.
+    fn page_job(&self, job: &MorselJob, k: usize) -> QResult<PageOut> {
+        let position = (job.start + k as u64) % job.num_pages;
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.page_work(job, position)))
+            .unwrap_or_else(|_| {
+                self.metrics.add_worker_panic();
+                Err(QError::Exec(format!(
+                    "scanner for {} panicked reading page {position}",
+                    job.table
+                )))
+            })
     }
 
     /// One page's worth of morsel work: fetch + decode the page, then run
     /// every consumer's predicate/projection kernel over the shared batch.
     /// Pure CPU + (simulated) disk I/O — never blocks on a pipe, so it is
     /// safe to run on a task-pool worker.
-    fn page_work(
-        &self,
-        pool: &Arc<qpipe_storage::BufferPool>,
-        file: qpipe_storage::FileId,
-        position: u64,
-        union: Option<&[usize]>,
-        snaps: &[ConsumerSnap],
-    ) -> QResult<PageOut> {
-        let (shared, pruned_delivery, fetch) = self.fetch_page(pool, file, position, union)?;
-        let cols = match &*shared {
-            AnyBatch::Cols(c) => c,
-            // `fetch_page` column-ifies every layout; a row batch here means
-            // the decode contract broke — fail the page (the scanner then
-            // poisons every attached packet) instead of unwinding.
-            AnyBatch::Rows(_) => {
-                return Err(QError::Exec(format!(
-                    "scan page {position} decoded to a row batch; columnar contract broken"
-                )))
-            }
-        };
-        let mut per_consumer = Vec::with_capacity(snaps.len());
-        for s in snaps {
+    fn page_work(&self, job: &MorselJob, position: u64) -> QResult<PageOut> {
+        let (shared, pruned_delivery, fetch) =
+            self.fetch_page(&job.pool, job.file, position, job.union.as_deref())?;
+        let cols = &*shared;
+        let mut per_consumer = Vec::with_capacity(job.snaps.len());
+        for s in &job.snaps {
             // Pruned pages carry the union's columns; use the consumer's
             // re-indexed expressions (same output, smaller decode).
             let (predicate, projection) = if pruned_delivery {
@@ -602,8 +592,6 @@ impl ScanManager {
             //   decoded (page-level column pruning — shared scans included);
             //   each consumer's expressions are re-indexed onto the pruned
             //   batch, so output is identical.
-            // * Row tables still pay the slotted codec: decode to tuples,
-            //   then column-ify.
             //
             // Either fetch or decode failing fails every attached packet —
             // consumers observe the error, never a silently-empty page.
@@ -629,23 +617,30 @@ impl ScanManager {
                     return;
                 }
             }
-            let snaps: Arc<Vec<ConsumerSnap>> = Arc::new(
-                consumers
-                    .iter()
-                    .map(|c| ConsumerSnap {
-                        predicate: c.predicate.clone(),
-                        projection: c.projection.clone(),
-                        pruned: c
-                            .pruned
-                            .as_ref()
-                            .filter(|_| union.is_some())
-                            .map(|p| (p.predicate.clone(), p.projection.clone())),
-                    })
-                    .collect(),
-            );
+            let snaps = consumers
+                .iter()
+                .map(|c| ConsumerSnap {
+                    predicate: c.predicate.clone(),
+                    projection: c.projection.clone(),
+                    pruned: c
+                        .pruned
+                        .as_ref()
+                        .filter(|_| union.is_some())
+                        .map(|p| (p.predicate.clone(), p.projection.clone())),
+                })
+                .collect();
+            let job = Arc::new(MorselJob {
+                table: group.table.clone(),
+                pool: pool.clone(),
+                file,
+                start,
+                num_pages,
+                union: union.clone(),
+                snaps,
+            });
             // A panic out of the fetch/decode path (e.g. an injected Panic
             // fault surfacing through the buffer pool) is converted to an
-            // error *inside the job*, while the consumer list is still
+            // error *inside the page job*, while the consumer list is still
             // intact, so `fail_group` below poisons every attached packet.
             // Letting it unwind would drop the producers, which close their
             // pipes cleanly — truncated output would read as complete
@@ -778,33 +773,15 @@ impl ScanManager {
                     // per *page* inside the job, so a poisoned page fails
                     // only its own slot.
                     let jobs = tasks.workers().min(morsel as usize);
-                    let page_one = move |mgr: &Arc<Self>,
-                                         pool: &Arc<qpipe_storage::BufferPool>,
-                                         union: Option<&[usize]>,
-                                         snaps: &[ConsumerSnap],
-                                         k: usize| {
-                        let position = (start + k as u64) % num_pages;
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            mgr.page_work(pool, file, position, union, snaps)
-                        }))
-                        .unwrap_or_else(|_| {
-                            mgr.metrics.add_worker_panic();
-                            Err(QError::Exec(format!("scanner panicked reading page {position}")))
-                        })
-                    };
                     let (tx, rx) = std::sync::mpsc::channel::<(usize, QResult<PageOut>)>();
                     for j in 0..jobs {
                         let mgr = self.clone();
-                        let job_pool = pool.clone();
-                        let job_union = union.clone();
-                        let job_snaps = snaps.clone();
+                        let job = job.clone();
                         let job_tx = tx.clone();
                         let stride = move || {
                             let mut k = j;
                             while k < morsel as usize {
-                                let res =
-                                    page_one(&mgr, &job_pool, job_union.as_deref(), &job_snaps, k);
-                                if job_tx.send((k, res)).is_err() {
+                                if job_tx.send((k, mgr.page_job(&job, k))).is_err() {
                                     break; // receiver stopped early; skip the rest
                                 }
                                 k += jobs;
@@ -842,18 +819,7 @@ impl ScanManager {
                     }
                 } else {
                     for k in 0..morsel as usize {
-                        let position = (start + k as u64) % num_pages;
-                        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            self.page_work(&pool, file, position, union.as_deref(), &snaps)
-                        }))
-                        .unwrap_or_else(|_| {
-                            self.metrics.add_worker_panic();
-                            Err(QError::Exec(format!(
-                                "scanner for {} panicked reading page {position}",
-                                group.table
-                            )))
-                        });
-                        if !deliver(k, res) {
+                        if !deliver(k, self.page_job(&job, k)) {
                             break;
                         }
                     }
@@ -871,6 +837,19 @@ impl ScanManager {
             }
         }
     }
+}
+
+/// What every page job of one morsel shares: where to read, which pages,
+/// and the consumers' snapshotted expressions (aligned with the order the
+/// scanner delivers in).
+struct MorselJob {
+    table: String,
+    pool: Arc<BufferPool>,
+    file: FileId,
+    start: u64,
+    num_pages: u64,
+    union: Option<Vec<usize>>,
+    snaps: Vec<ConsumerSnap>,
 }
 
 /// A consumer's expressions snapshotted for one morsel's page jobs: the
@@ -900,7 +879,7 @@ struct FetchObs {
 /// One page's morsel-job output: the shared decoded batch plus each
 /// consumer's delivery (aligned with the morsel's `ConsumerSnap` order).
 struct PageOut {
-    shared: Arc<AnyBatch>,
+    shared: Arc<ColBatch>,
     per_consumer: Vec<Option<Delivery>>,
     fetch: FetchObs,
 }
@@ -914,28 +893,20 @@ mod tests {
     use qpipe_storage::{BufferPool, BufferPoolConfig, Catalog, DiskConfig, PolicyKind, SimDisk};
     use std::time::Duration;
 
-    fn ctx_with_table_layout(
-        rows: i64,
-        layout: qpipe_storage::StorageLayout,
-    ) -> (ExecContext, Metrics) {
+    fn ctx_with_table(rows: i64) -> (ExecContext, Metrics) {
         let metrics = Metrics::new();
         let disk = SimDisk::new(DiskConfig::instant(), metrics.clone());
         let pool = BufferPool::new(disk.clone(), BufferPoolConfig::new(16, PolicyKind::Lru));
         let catalog = Catalog::new(disk, pool);
         catalog
-            .create_table_with_layout(
+            .create_table(
                 "t",
                 Schema::of(&[("k", DataType::Int)]),
                 (0..rows).map(|i| vec![Value::Int(i)]).collect(),
                 Some(0),
-                layout,
             )
             .unwrap();
         (ExecContext::new(catalog), metrics)
-    }
-
-    fn ctx_with_table(rows: i64) -> (ExecContext, Metrics) {
-        ctx_with_table_layout(rows, qpipe_storage::StorageLayout::Row)
     }
 
     fn request(
@@ -943,7 +914,17 @@ mod tests {
         ordered: bool,
         split_ok: bool,
     ) -> (ScanRequest, PipeConsumer) {
-        let pipe = Pipe::new(PipeConfig { capacity: 1024, backfill: 0 }, NodeId(1), reg.clone());
+        bounded_request(reg, ordered, split_ok, 1024)
+    }
+
+    /// A scan request whose output pipe holds `capacity` batches.
+    fn bounded_request(
+        reg: &Arc<WaitRegistry>,
+        ordered: bool,
+        split_ok: bool,
+        capacity: usize,
+    ) -> (ScanRequest, PipeConsumer) {
+        let pipe = Pipe::new(PipeConfig { capacity, backfill: 0 }, NodeId(1), reg.clone());
         let consumer = pipe.attach_consumer(NodeId(2), false);
         let req = ScanRequest {
             table: "t".into(),
@@ -994,10 +975,13 @@ mod tests {
         }
         let handles: Vec<_> = consumers
             .into_iter()
-            .map(|c| std::thread::spawn(move || c.collect_tuples().unwrap().len()))
+            .map(|c| std::thread::spawn(move || c.collect_tuples().unwrap()))
             .collect();
         for h in handles {
-            assert_eq!(h.join().unwrap(), 5000);
+            let mut keys: Vec<i64> =
+                h.join().unwrap().iter().map(|r| r[0].as_int().expect("int column")).collect();
+            keys.sort();
+            assert_eq!(keys, (0..5000).collect::<Vec<_>>(), "every row exactly once");
         }
         assert_eq!(m.snapshot().osp_attaches, 3, "three satellites on one host scan");
         let pages = ctx.catalog.table("t").unwrap().num_pages().unwrap();
@@ -1044,7 +1028,8 @@ mod tests {
         let (ctx, m) = ctx_with_table(50_000);
         let mgr = manager(&ctx, &m, true);
         let reg = Arc::new(WaitRegistry::new());
-        let (r1, c1) = request(&reg, false, false);
+        // A one-batch pipe: every page of the table fits a 1024-batch one.
+        let (r1, c1) = bounded_request(&reg, false, false, 1);
         mgr.submit(r1).unwrap();
         // Don't drain r1 yet: after the first pages the scanner throttles on
         // r1's bounded pipe, holding the group mid-scan no matter how fast
@@ -1110,73 +1095,19 @@ mod tests {
         assert_eq!(c2.collect_tuples().unwrap().len(), 100);
     }
 
-    #[test]
-    fn columnar_table_shares_one_scan_with_zero_row_decode() {
-        let (ctx, m) = ctx_with_table_layout(5000, qpipe_storage::StorageLayout::Columnar);
-        let mgr = manager(&ctx, &m, true);
-        let reg = Arc::new(WaitRegistry::new());
-        let mut consumers = Vec::new();
-        for _ in 0..4 {
-            let (req, c) = request(&reg, false, false);
-            mgr.submit(req).unwrap();
-            consumers.push(c);
-        }
-        let handles: Vec<_> = consumers
-            .into_iter()
-            .map(|c| std::thread::spawn(move || c.collect_tuples().unwrap()))
-            .collect();
-        for h in handles {
-            let rows = h.join().unwrap();
-            assert_eq!(rows.len(), 5000);
-            let mut keys: Vec<i64> =
-                rows.iter().map(|r| r[0].as_int().expect("typed int column")).collect();
-            keys.sort();
-            assert_eq!(keys, (0..5000).collect::<Vec<_>>(), "every row exactly once");
-        }
-        assert_eq!(m.snapshot().osp_attaches, 3, "three satellites on one host scan");
-        let pages = ctx.catalog.table("t").unwrap().num_pages().unwrap();
-        assert_eq!(m.snapshot().disk_blocks_read, pages, "one physical read");
-    }
-
-    #[test]
-    fn columnar_scan_applies_per_consumer_predicates() {
-        let (ctx, m) = ctx_with_table_layout(1000, qpipe_storage::StorageLayout::Columnar);
-        let mgr = manager(&ctx, &m, true);
-        let reg = Arc::new(WaitRegistry::new());
-        let pipe = Pipe::new(PipeConfig { capacity: 1024, backfill: 0 }, NodeId(1), reg.clone());
-        let c = pipe.attach_consumer(NodeId(2), false);
-        mgr.submit(ScanRequest {
-            table: "t".into(),
-            predicate: Some(Expr::col(0).ge(Expr::lit(900))),
-            projection: Some(vec![0]),
-            columns: None,
-            output: pipe.producer(),
-            ordered: false,
-            split_ok: false,
-            probe: None,
-            trace: None,
-        })
-        .unwrap();
-        assert_eq!(c.collect_tuples().unwrap().len(), 100);
-    }
-
-    fn ctx_with_wide_table(
-        rows: i64,
-        layout: qpipe_storage::StorageLayout,
-    ) -> (ExecContext, Metrics) {
+    fn ctx_with_wide_table(rows: i64) -> (ExecContext, Metrics) {
         let metrics = Metrics::new();
         let disk = SimDisk::new(DiskConfig::instant(), metrics.clone());
         let pool = BufferPool::new(disk.clone(), BufferPoolConfig::new(64, PolicyKind::Lru));
         let catalog = Catalog::new(disk, pool);
         catalog
-            .create_table_with_layout(
+            .create_table(
                 "w",
                 Schema::of(&[("k", DataType::Int), ("v", DataType::Int), ("s", DataType::Str)]),
                 (0..rows)
                     .map(|i| vec![Value::Int(i), Value::Int(i * 2), Value::str(format!("s{i}"))])
                     .collect(),
                 Some(0),
-                layout,
             )
             .unwrap();
         (ExecContext::new(catalog), metrics)
@@ -1207,7 +1138,7 @@ mod tests {
 
     #[test]
     fn single_consumer_columnar_scan_prunes_columns() {
-        let (ctx, m) = ctx_with_wide_table(3000, qpipe_storage::StorageLayout::Columnar);
+        let (ctx, m) = ctx_with_wide_table(3000);
         let mgr = manager(&ctx, &m, true);
         let reg = Arc::new(WaitRegistry::new());
         // Predicate on col 0, output col 2: only columns {0, 2} decode.
@@ -1223,7 +1154,7 @@ mod tests {
 
     #[test]
     fn shared_scan_with_full_width_union_does_not_prune() {
-        let (ctx, m) = ctx_with_wide_table(3000, qpipe_storage::StorageLayout::Columnar);
+        let (ctx, m) = ctx_with_wide_table(3000);
         let mgr = manager(&ctx, &m, true);
         let reg = Arc::new(WaitRegistry::new());
         // Referenced sets {0,2} ∪ {0,1} = {0,1,2} = every column: the shared
@@ -1246,7 +1177,7 @@ mod tests {
     /// exactly its own predicate/projection output.
     #[test]
     fn shared_scan_decodes_union_of_referenced_columns() {
-        let (ctx, m) = ctx_with_wide_table(3000, qpipe_storage::StorageLayout::Columnar);
+        let (ctx, m) = ctx_with_wide_table(3000);
         let mgr = manager(&ctx, &m, true);
         let reg = Arc::new(WaitRegistry::new());
         // Consumer 1 references {0}; consumer 2 references {0, 1}; the union
@@ -1273,7 +1204,7 @@ mod tests {
     /// full-width — correctness over savings.
     #[test]
     fn unprunable_consumer_disables_union_pruning() {
-        let (ctx, m) = ctx_with_wide_table(2000, qpipe_storage::StorageLayout::Columnar);
+        let (ctx, m) = ctx_with_wide_table(2000);
         let mgr = manager(&ctx, &m, true);
         let reg = Arc::new(WaitRegistry::new());
         let (r1, c1) = pruned_request(&reg, 1000, vec![0]);
@@ -1290,22 +1221,21 @@ mod tests {
     }
 
     #[test]
-    fn pruned_scan_matches_unpruned_results_across_layouts() {
-        for layout in [qpipe_storage::StorageLayout::Row, qpipe_storage::StorageLayout::Columnar] {
-            let (ctx, m) = ctx_with_wide_table(1000, layout);
-            let mgr = manager(&ctx, &m, true);
-            let reg = Arc::new(WaitRegistry::new());
-            let (req, c) = pruned_request(&reg, 500, vec![2, 0]);
-            mgr.submit(req).unwrap();
-            let mut rows = c.collect_tuples().unwrap();
-            rows.sort_by(|a, b| a[1].cmp(&b[1]));
-            assert_eq!(rows.len(), 500, "{layout:?}");
-            for (i, r) in rows.iter().enumerate() {
-                let k = 500 + i as i64;
-                assert_eq!(r[0], Value::str(format!("s{k}")), "{layout:?}");
-                assert_eq!(r[1], Value::Int(k), "{layout:?}");
-            }
+    fn pruned_scan_returns_exact_rows() {
+        let (ctx, m) = ctx_with_wide_table(1000);
+        let mgr = manager(&ctx, &m, true);
+        let reg = Arc::new(WaitRegistry::new());
+        let (req, c) = pruned_request(&reg, 500, vec![2, 0]);
+        mgr.submit(req).unwrap();
+        let mut rows = c.collect_tuples().unwrap();
+        rows.sort_by(|a, b| a[1].cmp(&b[1]));
+        assert_eq!(rows.len(), 500);
+        for (i, r) in rows.iter().enumerate() {
+            let k = 500 + i as i64;
+            assert_eq!(r[0], Value::str(format!("s{k}")));
+            assert_eq!(r[1], Value::Int(k));
         }
+        assert!(m.snapshot().pruned_pages > 0);
     }
 
     /// Regression: a predicate naming a column the table lacks must behave
@@ -1314,46 +1244,44 @@ mod tests {
     /// though the referenced-column set then points past the page width.
     #[test]
     fn out_of_range_predicate_column_filters_out_instead_of_failing() {
-        for layout in [qpipe_storage::StorageLayout::Row, qpipe_storage::StorageLayout::Columnar] {
-            let (ctx, m) = ctx_with_wide_table(500, layout);
-            let mgr = manager(&ctx, &m, true);
-            let reg = Arc::new(WaitRegistry::new());
-            let pipe =
-                Pipe::new(PipeConfig { capacity: 1024, backfill: 0 }, NodeId(1), reg.clone());
-            let c = pipe.attach_consumer(NodeId(2), false);
-            let predicate = Some(Expr::col(9).ge(Expr::lit(0)));
-            let projection = Some(vec![0usize]);
-            let columns = ScanRequest::referenced_columns(predicate.as_ref(), projection.as_ref());
-            assert_eq!(columns.as_deref(), Some(&[0usize, 9][..]));
-            mgr.submit(ScanRequest {
-                table: "w".into(),
-                predicate,
-                projection,
-                columns,
-                output: pipe.producer(),
-                ordered: false,
-                split_ok: false,
-                probe: None,
-                trace: None,
-            })
-            .unwrap();
-            let rows = c.collect_tuples().unwrap_or_else(|e| {
-                panic!("{layout:?}: scan must deliver a clean empty result, got {e}")
-            });
-            assert!(rows.is_empty(), "{layout:?}: eval errors filter pages out");
-            assert_eq!(m.snapshot().pruned_pages, 0, "{layout:?}: no pruning past page width");
-        }
+        let (ctx, m) = ctx_with_wide_table(500);
+        let mgr = manager(&ctx, &m, true);
+        let reg = Arc::new(WaitRegistry::new());
+        let pipe = Pipe::new(PipeConfig { capacity: 1024, backfill: 0 }, NodeId(1), reg.clone());
+        let c = pipe.attach_consumer(NodeId(2), false);
+        let predicate = Some(Expr::col(9).ge(Expr::lit(0)));
+        let projection = Some(vec![0usize]);
+        let columns = ScanRequest::referenced_columns(predicate.as_ref(), projection.as_ref());
+        assert_eq!(columns.as_deref(), Some(&[0usize, 9][..]));
+        mgr.submit(ScanRequest {
+            table: "w".into(),
+            predicate,
+            projection,
+            columns,
+            output: pipe.producer(),
+            ordered: false,
+            split_ok: false,
+            probe: None,
+            trace: None,
+        })
+        .unwrap();
+        let rows = c
+            .collect_tuples()
+            .unwrap_or_else(|e| panic!("scan must deliver a clean empty result, got {e}"));
+        assert!(rows.is_empty(), "eval errors filter pages out");
+        assert_eq!(m.snapshot().pruned_pages, 0, "no pruning past page width");
     }
 
     #[test]
     fn corrupt_page_fails_every_attached_packet() {
         let (ctx, m) = ctx_with_table(20_000);
-        // Overwrite a mid-table block with a page whose record is garbage:
-        // the tuple codec must error, and the scanner must surface it.
+        // Overwrite a mid-table block with a copy that has one payload bit
+        // flipped: the checksum check must fail the read, and the scanner
+        // must surface it.
         let info = ctx.catalog.table("t").unwrap();
-        let mut bad = qpipe_storage::Page::new();
-        bad.append_record(&[0xFF, 0xFF, 0x01]).unwrap(); // claims 65535 values, truncated
-        ctx.catalog.disk().write_block(info.file_id(), 3, bad).unwrap();
+        let disk = ctx.catalog.disk();
+        let bad = disk.read_block(info.file_id(), 3).unwrap().corrupted_copy(4096 * 8);
+        disk.write_block(info.file_id(), 3, bad).unwrap();
         let mgr = manager(&ctx, &m, true);
         let reg = Arc::new(WaitRegistry::new());
         let (r1, c1) = request(&reg, false, false);
@@ -1364,7 +1292,7 @@ mod tests {
             let err = std::thread::spawn(move || c.collect_tuples())
                 .join()
                 .unwrap()
-                .expect_err("codec error must fail the packet, not truncate it");
+                .expect_err("a corrupt page must fail the packet, not truncate it");
             assert!(matches!(err, qpipe_common::QError::Storage(_)), "got {err:?}");
         }
     }

@@ -152,7 +152,12 @@ impl Expr {
             }
             Expr::Not(e) => Value::Int(!e.eval_bool(tuple)? as i64),
             Expr::Arith(op, a, b) => {
-                let (a, b) = (a.eval(tuple)?, b.eval(tuple)?);
+                // A date takes part in arithmetic as its day number.
+                let day_number = |v: Value| match v {
+                    Value::Date(d) => Value::Int(i64::from(d)),
+                    v => v,
+                };
+                let (a, b) = (day_number(a.eval(tuple)?), day_number(b.eval(tuple)?));
                 if a.is_null() || b.is_null() {
                     return Ok(Value::Null);
                 }
@@ -460,6 +465,18 @@ mod tests {
         assert!(z.eval(&t()).unwrap().is_null());
         // NULL propagates through arithmetic.
         assert!(Expr::col(3).add(Expr::lit(1)).eval(&t()).unwrap().is_null());
+    }
+
+    #[test]
+    fn date_arithmetic_uses_the_day_number() {
+        let date = |d| Expr::lit(Value::Date(d));
+        let div = |a, b| Expr::Arith(ArithOp::Div, Box::new(a), Box::new(b));
+        // Q8's `o_orderdate / 365`: integer division, not NaN.
+        assert_eq!(div(date(731), Expr::lit(365)).eval(&t()).unwrap(), Value::Int(2));
+        assert_eq!(date(10).add(Expr::lit(5)).eval(&t()).unwrap(), Value::Int(15));
+        let gap = Expr::Arith(ArithOp::Sub, Box::new(date(30)), Box::new(date(12)));
+        assert_eq!(gap.eval(&t()).unwrap(), Value::Int(18));
+        assert_eq!(date(4).mul(Expr::lit(0.5)).eval(&t()).unwrap(), Value::Float(2.0));
     }
 
     #[test]

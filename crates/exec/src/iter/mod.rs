@@ -46,7 +46,7 @@ pub struct ExecConfig {
     /// (default) disables deadline enforcement.
     pub query_deadline: Option<std::time::Duration>,
     /// Workers in each µEngine's fixed packet pool. `0` (default) resolves
-    /// to the machine's available parallelism clamped to 8..=16 at
+    /// to the machine's available parallelism clamped to 16..=32 at
     /// validation — a packet occupies its worker for the packet's whole life
     /// and spends most of it blocked on (simulated) I/O or pipe waits, so
     /// the pool must cover admitted concurrency, not just CPU count; sizing
@@ -58,8 +58,8 @@ pub struct ExecConfig {
     /// task jobs are short compute-bound page/stripe work, so sizing past
     /// the machine's cores buys nothing and charges dispatch overhead per
     /// page. `0` (default) resolves to available parallelism capped at 8
-    /// (1 on a single-core host ⇒ the scan runs serial-inline, exactly the
-    /// pre-morsel path). Explicit values are honored so CI smokes can
+    /// (1 on a single-core host ⇒ every scan page job runs inline on the
+    /// scanner thread). Explicit values are honored so CI smokes can
     /// engage the parallel paths regardless of the runner's core count.
     pub task_workers: usize,
     /// Per-query tracing and profiling. When `true` every submitted query

@@ -3,7 +3,7 @@
 
 use super::{finish_tuple, ExecContext, TupleIter};
 use crate::expr::Expr;
-use qpipe_common::{QError, QResult, Tuple, Value};
+use qpipe_common::{ColBatch, QError, QResult, Tuple, Value};
 use qpipe_storage::catalog::TableInfo;
 use qpipe_storage::lock::TableLockGuard;
 use qpipe_storage::{BufferPool, Rid};
@@ -170,10 +170,10 @@ struct FetchState {
     table: Arc<TableInfo>,
     rids: Vec<Rid>,
     next: usize,
-    /// Cached page to serve consecutive RIDs on the same page. Slotted pages
-    /// decode only the fetched record; columnar pages materialize whole-page
-    /// (cached inside the page handle, so repeat RIDs are refcount bumps).
-    cached_page: Option<(u64, qpipe_storage::Block)>,
+    /// Cached page to serve consecutive RIDs on the same page. Pages
+    /// materialize whole (cached inside the page handle as well, so a page
+    /// revisited later is a refcount bump).
+    cached_page: Option<(u64, Arc<ColBatch>)>,
 }
 
 impl UnclusteredIndexScanIter {
@@ -231,24 +231,13 @@ impl TupleIter for UnclusteredIndexScanIter {
             let page_ok = st.cached_page.as_ref().is_some_and(|(no, _)| *no == rid.page);
             if !page_ok {
                 let block = st.pool.get(st.table.file_id(), rid.page)?;
-                st.cached_page = Some((rid.page, block));
+                st.cached_page = Some((rid.page, block.as_columnar()?.materialize()?));
             }
-            let (_, block) = st.cached_page.as_ref().expect("cached");
-            let tuple = match block {
-                qpipe_storage::Block::Slotted(page) => {
-                    qpipe_storage::page::decode_tuple(page.record(rid.slot)?)?
-                }
-                qpipe_storage::Block::Columnar(cp) => {
-                    let batch = cp.materialize()?;
-                    if (rid.slot as usize) >= batch.len() {
-                        return Err(QError::Storage(format!(
-                            "no slot {} on page {}",
-                            rid.slot, rid.page
-                        )));
-                    }
-                    batch.row(rid.slot as usize)
-                }
-            };
+            let (_, batch) = st.cached_page.as_ref().expect("cached");
+            if (rid.slot as usize) >= batch.len() {
+                return Err(QError::Storage(format!("no slot {} on page {}", rid.slot, rid.page)));
+            }
+            let tuple = batch.row(rid.slot as usize);
             if let Some(out) = finish_tuple(tuple, &predicate, &projection)? {
                 return Ok(Some(out));
             }

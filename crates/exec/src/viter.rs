@@ -19,9 +19,7 @@
 //!   ([`Expr::eval_project`]), and hot `SUM`/`AVG`/`COUNT` shapes fold
 //!   primitive slices directly.
 //!
-//! Both operators accept interleaved row batches (legacy producers) through
-//! row-shaped entry points that update the *same* state, so a mixed stream
-//! needs no fallback. Semantics are identical to [`HashJoinIter`] /
+//! Semantics are identical to [`HashJoinIter`] /
 //! [`AggregateIter`](crate::iter::AggregateIter): NULL keys never join,
 //! NULL aggregate inputs are skipped, group output is sorted by key — the
 //! cross-operator parity suite in `tests/` holds them to it.
@@ -101,7 +99,7 @@ pub struct HashJoinTable {
 
 impl HashJoinTable {
     fn new(build: ColBatch, key: usize) -> QResult<Self> {
-        let hashes = hash_build_slice(&build, key)?;
+        let hashes = if build.is_empty() { Vec::new() } else { hash_build_slice(&build, key)? };
         Self::from_hashes(build, key, hashes)
     }
 
@@ -110,7 +108,13 @@ impl HashJoinTable {
     /// in row order). Buckets are filled in ascending row order — the same
     /// insertion order [`HashJoinTable::new`] produces, so probe output
     /// (LIFO per probe row) is bit-identical to the serial build.
+    ///
+    /// An empty build side (which may carry no columns at all) gives an
+    /// empty table whose probes emit nothing.
     pub fn from_hashes(build: ColBatch, key: usize, hashes: Vec<u64>) -> QResult<Self> {
+        if build.is_empty() {
+            return Ok(Self { build, key, table: HashMap::new() });
+        }
         let kc = key_col(&build, key)?;
         debug_assert_eq!(hashes.len(), build.len());
         let mut table: HashMap<u64, Vec<u32>> = HashMap::new();
@@ -142,6 +146,9 @@ impl HashJoinTable {
         chunk: usize,
         mut out: impl FnMut(ColBatch),
     ) -> QResult<()> {
+        if self.table.is_empty() {
+            return Ok(());
+        }
         let pk = key_col(probe, key)?;
         let bk = key_col(&self.build, self.key)?;
         let hashes = hash_key_column(pk);
@@ -168,27 +175,6 @@ impl HashJoinTable {
             let right = probe.take(&pidx[at..end]);
             out(ColBatch::hcat(&left, &right));
             at = end;
-        }
-        Ok(())
-    }
-
-    /// Probe one row tuple (legacy row batches interleaved in the probe
-    /// stream); pushes joined tuples through `out`.
-    pub fn probe_row(&self, tuple: &Tuple, key: usize, mut out: impl FnMut(Tuple)) -> QResult<()> {
-        let v =
-            tuple.get(key).ok_or_else(|| QError::Exec(format!("join key {key} out of range")))?;
-        if v.is_null() {
-            return Ok(());
-        }
-        let Some(cands) = self.table.get(&v.stable_hash()) else {
-            return Ok(());
-        };
-        for &bi in cands.iter().rev() {
-            if self.build.col(self.key).is_some_and(|c| c.value(bi as usize) == *v) {
-                let mut row = self.build.row(bi as usize);
-                row.extend(tuple.iter().cloned());
-                out(row);
-            }
         }
         Ok(())
     }
@@ -319,20 +305,6 @@ impl HashAgg {
                 }
             }
         }
-    }
-
-    /// Fold one row tuple (legacy row batches interleaved in the stream).
-    pub fn update_row(&mut self, tuple: &Tuple) -> QResult<()> {
-        let key: Vec<Value> = self.group_by.iter().map(|&c| tuple[c].clone()).collect();
-        let g = self.group_id(key) as usize;
-        for (spec, state) in self.aggs.iter().zip(self.states[g].iter_mut()) {
-            if spec.func == AggFunc::CountStar {
-                state.update(&Value::Int(1));
-            } else {
-                state.update(&spec.expr.eval(tuple)?);
-            }
-        }
-        Ok(())
     }
 
     /// Groups accumulated so far.
@@ -476,21 +448,16 @@ mod tests {
     }
 
     #[test]
-    fn row_probe_agrees_with_batch_probe() {
-        let build =
-            batch(&[vec![Value::Int(5), Value::str("x")], vec![Value::Int(5), Value::str("y")]]);
-        let mut b = HashJoinBuild::new(0);
-        assert!(b.add(&build));
-        let table = b.finish().unwrap();
-        let mut via_batch = Vec::new();
+    fn empty_build_side_probes_to_nothing() {
+        // A build stream that delivered no batches finishes as a zero-width
+        // batch; probing it must emit nothing rather than fail on the key.
+        let table = HashJoinBuild::new(0).finish().unwrap();
+        assert_eq!(table.build_rows(), 0);
+        let mut emitted = 0;
         table
-            .probe(&batch(&[vec![Value::Float(5.0)]]), 0, 256, |out| {
-                via_batch.extend(out.to_rows())
-            })
+            .probe(&batch(&[vec![Value::Int(1), Value::Int(2)]]), 1, 256, |_| emitted += 1)
             .unwrap();
-        let mut via_row = Vec::new();
-        table.probe_row(&vec![Value::Float(5.0)], 0, |t| via_row.push(t)).unwrap();
-        assert_eq!(via_batch, via_row);
+        assert_eq!(emitted, 0);
     }
 
     #[test]
@@ -522,11 +489,11 @@ mod tests {
     }
 
     #[test]
-    fn mixed_row_and_col_updates_share_state() {
+    fn successive_batches_share_state() {
         let aggs = vec![AggSpec::count_star(), AggSpec::sum(Expr::col(0))];
         let mut agg = HashAgg::new(vec![], aggs);
         agg.update_cols(&batch(&[vec![Value::Int(2)], vec![Value::Int(3)]])).unwrap();
-        agg.update_row(&vec![Value::Int(5)]).unwrap();
+        agg.update_cols(&batch(&[vec![Value::Int(5)]])).unwrap();
         let rows = agg.finish();
         assert_eq!(rows, vec![vec![Value::Int(3), Value::Int(10)]]);
     }

@@ -7,8 +7,7 @@
 //!
 //! * **Accumulate** — input batches concatenate into one growing
 //!   [`ColBatch`] (typed column extends via [`ColBatchBuilder`], no row
-//!   materialization). Interleaved legacy row batches column-ify into the
-//!   same accumulator.
+//!   materialization).
 //! * **Sort** — a stable *permutation* is sorted over the key columns only
 //!   ([`ColBatch::sort_perm`]: typed comparators per column —
 //!   int/float/date/str, asc/desc, NULLs first exactly like
@@ -38,11 +37,11 @@ use crate::iter::spill::{ColRunHandle, ColRunReader, ColRunWriter};
 use crate::iter::{ExecContext, TupleIter};
 use crate::plan::SortKey;
 use qpipe_common::colbatch::{ColBatch, ColBatchBuilder, SortSpec};
-use qpipe_common::{Batch, MemClass, MemLease, QResult, Tuple};
+use qpipe_common::{MemClass, MemLease, QResult, Tuple};
 use std::cmp::Ordering;
 
 /// Rows per emitted output batch (the pipe-granularity chunk size).
-const OUT_CHUNK: usize = Batch::DEFAULT_CAPACITY;
+const OUT_CHUNK: usize = ColBatch::DEFAULT_CAPACITY;
 
 /// Batch-native external sort; the vectorized analogue of
 /// [`SortIter`](crate::iter::SortIter). See the module docs for the phase
@@ -87,16 +86,6 @@ impl VecSort {
         }
         self.maybe_spill()?;
         Ok(true)
-    }
-
-    /// Append legacy row tuples (interleaved row batches column-ify into the
-    /// same accumulator). Same width contract as [`push_cols`](Self::push_cols).
-    #[must_use = "a rejected batch must be routed to the row-path fallback"]
-    pub fn push_rows(&mut self, rows: &[Tuple]) -> QResult<bool> {
-        if rows.is_empty() {
-            return Ok(true);
-        }
-        self.push_cols(&ColBatch::from_rows(rows))
     }
 
     /// Spill when the governor refuses to cover the accumulator — either
@@ -396,7 +385,7 @@ mod tests {
         let baseline = disk.file_count();
         let mut vs = VecSort::new(&[SortKey::asc(0)], ctx.clone());
         let rows: Vec<Tuple> = (0..200).map(|i| vec![Value::Int(i)]).collect();
-        assert!(vs.push_rows(&rows).unwrap());
+        assert!(vs.push_cols(&ColBatch::from_rows(&rows)).unwrap());
         assert!(disk.file_count() > baseline, "runs spilled");
         let mut emitted = 0;
         vs.finish(|_| {
@@ -413,8 +402,11 @@ mod tests {
         let ctx = ctx_with_budget(8);
         let mut vs = VecSort::new(&[SortKey::asc(0)], ctx);
         let wide: Vec<Tuple> = (0..20).map(|i| vec![Value::Int(i), Value::Int(0)]).collect();
-        assert!(vs.push_rows(&wide).unwrap());
-        assert!(!vs.push_rows(&[vec![Value::Int(1)]]).unwrap(), "width mismatch refused");
+        assert!(vs.push_cols(&ColBatch::from_rows(&wide)).unwrap());
+        assert!(
+            !vs.push_cols(&ColBatch::from_rows(&[vec![Value::Int(1)]])).unwrap(),
+            "width mismatch refused"
+        );
         let rows = vs.into_rows().unwrap();
         assert_eq!(rows.len(), 20, "spilled + buffered rows all recovered");
     }

@@ -1,9 +1,8 @@
 //! Catalog: table metadata, creation and bulk loading.
 
 use crate::bufferpool::BufferPool;
-use crate::colheap::ColHeapFile;
+use crate::colheap::{ColHeapFile, Rid};
 use crate::disk::{FileId, SimDisk};
-use crate::heap::{HeapFile, Rid};
 use crate::index::{ClusteredIndex, UnclusteredIndex};
 use crate::lock::LockManager;
 use parking_lot::RwLock;
@@ -11,74 +10,23 @@ use qpipe_common::{QError, QResult, Schema, Tuple, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Physical page layout of a table, chosen at create/load time.
+/// Physical page layout of a table. Every table is stored as PAX-style
+/// columnar pages; the enum remains so callers that name the layout keep
+/// compiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum StorageLayout {
-    /// Classic slotted pages; tuples decoded row-at-a-time on read.
-    #[default]
-    Row,
     /// PAX-style columnar pages; scans materialize `ColBatch`es straight
     /// from the page's typed value regions — no row codec on the read path.
+    #[default]
     Columnar,
-}
-
-/// The physical storage backing one table: a row heap or a columnar heap.
-#[derive(Debug)]
-pub enum TableStorage {
-    Row(HeapFile),
-    Columnar(ColHeapFile),
-}
-
-impl TableStorage {
-    pub fn layout(&self) -> StorageLayout {
-        match self {
-            TableStorage::Row(_) => StorageLayout::Row,
-            TableStorage::Columnar(_) => StorageLayout::Columnar,
-        }
-    }
-
-    pub fn file_id(&self) -> FileId {
-        match self {
-            TableStorage::Row(h) => h.file_id(),
-            TableStorage::Columnar(h) => h.file_id(),
-        }
-    }
-
-    pub fn num_pages(&self) -> QResult<u64> {
-        match self {
-            TableStorage::Row(h) => h.num_pages(),
-            TableStorage::Columnar(h) => h.num_pages(),
-        }
-    }
-
-    pub fn num_tuples(&self) -> u64 {
-        match self {
-            TableStorage::Row(h) => h.num_tuples(),
-            TableStorage::Columnar(h) => h.num_tuples(),
-        }
-    }
-
-    fn append(&self, tuple: &Tuple) -> QResult<Rid> {
-        match self {
-            TableStorage::Row(h) => h.append(tuple),
-            TableStorage::Columnar(h) => h.append(tuple),
-        }
-    }
-
-    fn flush(&self) -> QResult<()> {
-        match self {
-            TableStorage::Row(h) => h.flush(),
-            TableStorage::Columnar(h) => h.flush(),
-        }
-    }
 }
 
 /// Everything the engine knows about one table.
 pub struct TableInfo {
     pub name: String,
     pub schema: Schema,
-    /// Physical backing: row heap or columnar heap.
-    pub storage: TableStorage,
+    /// Physical backing: a heap of columnar pages.
+    pub storage: ColHeapFile,
     /// Column the heap is physically sorted on, if bulk-loaded sorted.
     pub sort_key: Option<usize>,
     /// Fence-key directory when `sort_key` is set.
@@ -106,12 +54,7 @@ impl TableInfo {
         self.storage.num_tuples()
     }
 
-    /// The page layout this table was loaded with.
-    pub fn layout(&self) -> StorageLayout {
-        self.storage.layout()
-    }
-
-    /// Backing file of the table's heap, whichever layout it uses.
+    /// Backing file of the table's heap.
     pub fn file_id(&self) -> FileId {
         self.storage.file_id()
     }
@@ -159,30 +102,15 @@ impl Catalog {
         &self.locks
     }
 
-    /// Bulk-load a table in the default row layout. When `sort_key` is given
-    /// the rows are sorted on that column first and a clustered fence-key
-    /// index is built.
+    /// Bulk-load a table as columnar pages. Rows must conform to `schema`
+    /// (NULLs are always admitted). When `sort_key` is given the rows are
+    /// sorted on that column first and a clustered fence-key index is built.
     pub fn create_table(
-        &self,
-        name: &str,
-        schema: Schema,
-        rows: Vec<Tuple>,
-        sort_key: Option<usize>,
-    ) -> QResult<Arc<TableInfo>> {
-        self.create_table_with_layout(name, schema, rows, sort_key, StorageLayout::Row)
-    }
-
-    /// Bulk-load a table with an explicit page [`StorageLayout`]. Columnar
-    /// tables require schema-conformant rows (NULLs are always admitted);
-    /// everything downstream — clustered/unclustered indexes, both engines,
-    /// the shared circular scanner — works over either layout.
-    pub fn create_table_with_layout(
         &self,
         name: &str,
         schema: Schema,
         mut rows: Vec<Tuple>,
         sort_key: Option<usize>,
-        layout: StorageLayout,
     ) -> QResult<Arc<TableInfo>> {
         if self.tables.read().contains_key(name) {
             return Err(QError::Storage(format!("table {name:?} already exists")));
@@ -193,14 +121,7 @@ impl Catalog {
             }
             rows.sort_by(|a, b| a[col].cmp(&b[col]));
         }
-        let storage = match layout {
-            StorageLayout::Row => TableStorage::Row(HeapFile::create(self.disk.clone(), name)?),
-            StorageLayout::Columnar => TableStorage::Columnar(ColHeapFile::create(
-                self.disk.clone(),
-                name,
-                schema.clone(),
-            )?),
-        };
+        let storage = ColHeapFile::create(self.disk.clone(), name, schema.clone())?;
         let mut fences: Vec<Value> = Vec::new();
         let mut last_page = u64::MAX;
         for row in &rows {
@@ -313,15 +234,19 @@ mod tests {
         // Fences must be non-decreasing.
         let (start, end) = ci.page_range(Some(&Value::Int(50)), Some(&Value::Int(60)));
         assert!(start <= end && end <= ci.num_pages());
-        // Verify the heap really is sorted by reading it back.
+        // Verify the heap really is sorted, and columnar, by reading it back.
         let mut last = Value::Null;
+        let mut seen = 0;
         for p in 0..t.num_pages().unwrap() {
             let block = c.disk().read_block(t.file_id(), p).unwrap();
+            assert!(block.as_columnar().is_ok(), "tables store columnar pages");
             for tup in block.rows().unwrap() {
                 assert!(tup[0] >= last, "heap not sorted");
                 last = tup[0].clone();
+                seen += 1;
             }
         }
+        assert_eq!(seen, 5000);
     }
 
     #[test]
@@ -350,51 +275,10 @@ mod tests {
     }
 
     #[test]
-    fn columnar_table_round_trips_and_sorts() {
-        let c = catalog();
-        let t = c
-            .create_table_with_layout("ct", schema(), rows(5000), Some(0), StorageLayout::Columnar)
-            .unwrap();
-        assert_eq!(t.layout(), StorageLayout::Columnar);
-        assert_eq!(t.num_tuples(), 5000);
-        assert!(t.clustered.is_some());
-        let mut last = Value::Null;
-        let mut seen = 0;
-        for p in 0..t.num_pages().unwrap() {
-            let block = c.disk().read_block(t.file_id(), p).unwrap();
-            assert!(block.as_columnar().is_ok(), "columnar table stores columnar pages");
-            for tup in block.rows().unwrap() {
-                assert!(tup[0] >= last, "columnar heap not sorted");
-                last = tup[0].clone();
-                seen += 1;
-            }
-        }
-        assert_eq!(seen, 5000);
-    }
-
-    #[test]
-    fn secondary_index_over_columnar_table() {
-        let c = catalog();
-        c.create_table_with_layout("ct", schema(), rows(2000), None, StorageLayout::Columnar)
-            .unwrap();
-        c.create_index("ct", "k").unwrap();
-        let t = c.table("ct").unwrap();
-        let idx = t.unclustered_index("k").expect("index exists");
-        let rids = idx.rid_list(c.pool(), Some(&Value::Int(3)), Some(&Value::Int(3))).unwrap();
-        assert!(!rids.is_empty());
-        for rid in rids {
-            let block = c.disk().read_block(t.file_id(), rid.page).unwrap();
-            assert_eq!(block.rows().unwrap()[rid.slot as usize][0], Value::Int(3));
-        }
-    }
-
-    #[test]
     fn columnar_layout_rejects_nonconformant_rows() {
         let c = catalog();
         // Schema says (Int, Str) but the row is (Str, Str).
         let bad = vec![vec![Value::str("x"), Value::str("y")]];
-        assert!(c
-            .create_table_with_layout("ct", schema(), bad, None, StorageLayout::Columnar)
-            .is_err());
+        assert!(c.create_table("ct", schema(), bad, None).is_err());
     }
 }

@@ -1,18 +1,24 @@
-//! Columnar heap files: append-only files of PAX-style [`ColPage`]s.
+//! Columnar heap files: append-only files of PAX-style [`ColPage`]s, the
+//! one table layout.
 //!
-//! The columnar sibling of [`HeapFile`](crate::heap::HeapFile): bulk loading
-//! keeps an open tail-page builder so appends are O(1) amortized per tuple,
-//! and the file flushes full pages to the simulated disk as immutable
-//! columnar blocks. Readers fetch pages by number through the buffer pool
+//! Bulk loading keeps an open tail-page builder so appends are O(1)
+//! amortized per tuple, and the file flushes full pages to the simulated
+//! disk as immutable columnar blocks. Readers fetch pages by number through the buffer pool
 //! and materialize them with [`ColPage::materialize`] — no row codec on the
 //! read path.
 
 use crate::colpage::{ColPage, ColPageBuilder};
 use crate::disk::{FileId, SimDisk};
-use crate::heap::Rid;
 use parking_lot::Mutex;
 use qpipe_common::{QResult, Schema, Tuple};
 use std::sync::Arc;
+
+/// Record identifier: page number + row index within the page.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct Rid {
+    pub page: u64,
+    pub slot: u16,
+}
 
 /// An append-only file of columnar pages holding schema-conformant tuples.
 pub struct ColHeapFile {

@@ -1,6 +1,6 @@
 //! Simulated block device.
 //!
-//! Substitute for the paper's 4-disk SCSI RAID-0 array (DESIGN.md §3). Files
+//! Substitute for the paper's 4-disk SCSI RAID-0 array. Files
 //! are vectors of fixed-size blocks held in memory; every read *charges* a
 //! latency — sequential reads are cheaper than random ones, mirroring disk
 //! behaviour — and bumps the per-file counters that Figure 8 plots.
@@ -22,9 +22,10 @@ use std::time::Duration;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FileId(pub u32);
 
-/// One 8 KiB disk block: either a classic slotted page (row layout) or a
-/// PAX-style columnar page. The disk and buffer pool move blocks without
-/// caring which layout they carry; readers dispatch on the variant.
+/// One 8 KiB disk block: a PAX-style columnar page (every table page), or a
+/// slotted page (spill runs and index pages). The disk and buffer pool move
+/// blocks without caring which layout they carry; readers dispatch on the
+/// variant.
 #[derive(Debug, Clone)]
 pub enum Block {
     Slotted(Page),
@@ -71,7 +72,7 @@ impl Block {
     }
 
     /// Decode every record as a tuple, whichever layout the block carries
-    /// (the layout-agnostic row-engine adapter).
+    /// (the row-engine adapter).
     pub fn rows(&self) -> QResult<Vec<Tuple>> {
         match self {
             Block::Slotted(p) => p.decode_tuples(),
@@ -145,7 +146,7 @@ impl DiskConfig {
         }
     }
 
-    /// Default experiment profile (DESIGN.md §6): 8 KiB blocks at 20 µs
+    /// Default experiment profile: 8 KiB blocks at 20 µs
     /// sequential / 60 µs random, i.e. ≈400 MB/s sequential paper-scale
     /// bandwidth at the default `TimeScale`.
     pub fn experiment() -> Self {

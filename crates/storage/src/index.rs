@@ -11,8 +11,8 @@
 //! load, then read-only querying).
 
 use crate::bufferpool::BufferPool;
+use crate::colheap::Rid;
 use crate::disk::{FileId, SimDisk};
-use crate::heap::Rid;
 use crate::page::{decode_tuple, encode_tuple, Page};
 use qpipe_common::{QError, QResult, Value};
 use std::sync::Arc;

@@ -3,31 +3,29 @@
 //! The paper builds QPipe on top of BerkeleyDB; QPipe only uses BerkeleyDB's
 //! page-level access methods, buffer pool and table locking. This crate
 //! implements exactly that surface, plus the simulated disk that stands in
-//! for the authors' 4-disk RAID array (see DESIGN.md §3):
+//! for the authors' 4-disk RAID array:
 //!
 //! * [`disk`] — an in-memory block device that charges a configurable latency
 //!   per block read and counts per-file I/O (Figure 8's metric). Blocks are
-//!   a [`Block`] enum so one file can carry either page layout.
-//! * [`page`] — **row layout**: slotted 8 KiB pages with a compact tagged
-//!   binary tuple codec. Reads decode tuple-by-tuple.
-//! * [`colpage`] — **columnar layout**: PAX-style 8 KiB pages with per-column
+//!   a [`Block`] enum: columnar table pages, or slotted pages for spill runs
+//!   and index pages.
+//! * [`colpage`] — the table layout: PAX-style 8 KiB pages with per-column
 //!   typed value regions, null bitmaps and a page-local string dictionary.
 //!   Reads materialize a whole [`ColBatch`](qpipe_common::ColBatch) from the
-//!   byte regions in bulk — scans over columnar tables skip the row codec
-//!   entirely, which is what lets one shared circular scan feed N consumers
-//!   with vectorized kernels at near-zero per-page cost.
-//! * [`heap`] / [`colheap`] — append-only heap files of slotted / columnar
-//!   pages, both with an O(1)-amortized open-tail-page bulk-load path.
+//!   byte regions in bulk — scans skip any row codec, which is what lets one
+//!   shared circular scan feed N consumers with vectorized kernels at
+//!   near-zero per-page cost.
+//! * [`page`] — slotted 8 KiB pages with a compact tagged binary tuple
+//!   codec, used by row spill runs and index pages.
+//! * [`colheap`] — append-only heap files of columnar pages with an
+//!   O(1)-amortized open-tail-page bulk-load path.
 //! * [`bufferpool`] — a buffer pool with pluggable replacement policies
 //!   (LRU, Clock, LRU-K, 2Q, ARC — the policies §2.1 surveys). It caches
 //!   [`Block`]s; a resident columnar page carries its decoded batch, so it
 //!   is materialized at most once per residency.
 //! * [`index`] — bulk-loaded paged indexes: clustered (table stored in key
-//!   order) and unclustered (key → RID list, fetched in page order). Both
-//!   work over either table layout.
-//! * [`catalog`] — table metadata and creation/loading helpers; each table
-//!   records its [`StorageLayout`] (`Row` or `Columnar`), chosen at
-//!   create/load time.
+//!   order) and unclustered (key → RID list, fetched in page order).
+//! * [`catalog`] — table metadata and creation/loading helpers.
 //! * [`lock`] — table-level shared/exclusive locks for the update path.
 
 pub mod bufferpool;
@@ -35,17 +33,15 @@ pub mod catalog;
 pub mod colheap;
 pub mod colpage;
 pub mod disk;
-pub mod heap;
 pub mod index;
 pub mod lock;
 pub mod page;
 
 pub use bufferpool::{BufferPool, BufferPoolConfig, PolicyKind};
-pub use catalog::{Catalog, StorageLayout, TableInfo, TableStorage};
-pub use colheap::ColHeapFile;
+pub use catalog::{Catalog, StorageLayout, TableInfo};
+pub use colheap::{ColHeapFile, Rid};
 pub use colpage::{ColPage, ColPageBuilder};
 pub use disk::{Block, DiskConfig, FileId, SimDisk};
-pub use heap::{HeapFile, Rid};
 pub use index::{ClusteredIndex, UnclusteredIndex};
 pub use lock::{LockManager, TableLockGuard};
 pub use page::{Page, PAGE_SIZE};

@@ -7,7 +7,7 @@
 //!   the buffer pool),
 //! * **DBMS X** — our stand-in for the unnamed commercial system: the
 //!   conventional one-query-many-operators iterator engine with a
-//!   scan-resistant (2Q) buffer pool (DESIGN.md §3),
+//!   scan-resistant (2Q) buffer pool,
 //!
 //! and drives them with staggered-arrival runs (Figures 8–11) and
 //! closed-loop multi-client runs (Figures 1b/12/13). All time parameters are

@@ -2,7 +2,7 @@
 //!
 //! Two big tables and a small one. The paper uses 8M × 200-byte tuples for
 //! BIG1/BIG2 and 800K for SMALL; we scale by the same 10:1 ratio with a
-//! configurable big-table cardinality (DESIGN.md §3). Column semantics follow
+//! configurable big-table cardinality. Column semantics follow
 //! the original specification: `unique1` is a random permutation, `unique2`
 //! is sequential (the physical sort order), the small-domain columns
 //! (`two`, `ten`, ...) are derived from `unique1`, and the string columns pad
@@ -11,7 +11,7 @@
 use qpipe_common::{DataType, QResult, Schema, Tuple, Value};
 use qpipe_exec::expr::Expr;
 use qpipe_exec::plan::{PlanNode, SortKey};
-use qpipe_storage::{Catalog, StorageLayout};
+use qpipe_storage::Catalog;
 use std::sync::Arc;
 
 /// Scale knobs (10:1 big:small, like the paper's 8M:800K).
@@ -97,23 +97,12 @@ fn rows(n: usize) -> Vec<Tuple> {
         .collect()
 }
 
-/// Create BIG1, BIG2 and SMALL in the row layout, each stored sorted on
-/// `unique2`.
+/// Create BIG1, BIG2 and SMALL, each stored sorted on `unique2`.
 pub fn build_wisconsin(catalog: &Arc<Catalog>, scale: WisconsinScale) -> QResult<()> {
-    build_wisconsin_with_layout(catalog, scale, StorageLayout::Row)
-}
-
-/// Create BIG1, BIG2 and SMALL in an explicit page layout (columnar tables
-/// scan without the row codec), each stored sorted on `unique2`.
-pub fn build_wisconsin_with_layout(
-    catalog: &Arc<Catalog>,
-    scale: WisconsinScale,
-    layout: StorageLayout,
-) -> QResult<()> {
     let u2 = Some(cols::UNIQUE2);
-    catalog.create_table_with_layout("big1", schema(), rows(scale.big_tuples), u2, layout)?;
-    catalog.create_table_with_layout("big2", schema(), rows(scale.big_tuples), u2, layout)?;
-    catalog.create_table_with_layout("small", schema(), rows(scale.small_tuples()), u2, layout)?;
+    catalog.create_table("big1", schema(), rows(scale.big_tuples), u2)?;
+    catalog.create_table("big2", schema(), rows(scale.big_tuples), u2)?;
+    catalog.create_table("small", schema(), rows(scale.small_tuples()), u2)?;
     Ok(())
 }
 

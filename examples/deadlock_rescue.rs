@@ -8,9 +8,9 @@
 //! cargo run --release --example deadlock_rescue
 //! ```
 
-use qpipe_common::{Metrics, Value};
+use qpipe_common::{ColBatch, Metrics, Tuple, Value};
 use qpipe_core::deadlock::{DeadlockDetector, NodeId, WaitRegistry};
-use qpipe_core::pipe::{Pipe, PipeConfig};
+use qpipe_core::pipe::{Pipe, PipeConfig, PipeProducer};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -35,23 +35,20 @@ fn main() {
     let q2_b = pipe_b.attach_consumer(NodeId(4), false);
     let q2_a = pipe_a.attach_consumer(NodeId(4), false);
 
+    // Each producer sends 4096 one-column rows in batches of 256.
     let n = 4096;
-    let mut prod_a = pipe_a.producer();
-    let mut prod_b = pipe_b.producer();
-    let pa = std::thread::spawn(move || {
-        for i in 0..n {
-            prod_a.push(vec![Value::Int(i)]);
+    let produce = |mut producer: PipeProducer, name: &'static str| {
+        move || {
+            let rows: Vec<Tuple> = (0..n).map(|i| vec![Value::Int(i)]).collect();
+            for batch in rows.chunks(ColBatch::DEFAULT_CAPACITY) {
+                producer.push_cols(ColBatch::from_rows(batch));
+            }
+            producer.finish();
+            println!("producer {name} finished");
         }
-        prod_a.finish();
-        println!("producer A finished");
-    });
-    let pb = std::thread::spawn(move || {
-        for i in 0..n {
-            prod_b.push(vec![Value::Int(i)]);
-        }
-        prod_b.finish();
-        println!("producer B finished");
-    });
+    };
+    let pa = std::thread::spawn(produce(pipe_a.producer(), "A"));
+    let pb = std::thread::spawn(produce(pipe_b.producer(), "B"));
     let q1 = std::thread::spawn(move || {
         let a = q1_a.collect_tuples().unwrap().len();
         let b = q1_b.collect_tuples().unwrap().len();

@@ -14,25 +14,22 @@ fn main() -> QResult<()> {
     let catalog = quick_system(DiskConfig::experiment(), 128);
 
     // 2. Bulk-load a table (sorted on column 0 → clustered index for free).
-    //    The last argument is the page layout flag: `StorageLayout::Columnar`
-    //    stores PAX-style columnar pages, so the shared scanner materializes
-    //    each page's column vectors straight from the page bytes — no
-    //    row-codec decode at scan time (`StorageLayout::Row`, the
-    //    `create_table` default, keeps classic slotted pages).
+    //    Tables are stored as PAX-style columnar pages, so the shared scanner
+    //    materializes each page's column vectors straight from the page
+    //    bytes — no row decode at scan time.
     let rows: Vec<Tuple> = (0..50_000i64)
         .map(|i| vec![Value::Int(i), Value::Int(i % 100), Value::Float((i % 997) as f64)])
         .collect();
-    catalog.create_table_with_layout(
+    catalog.create_table(
         "events",
         Schema::of(&[("id", DataType::Int), ("kind", DataType::Int), ("amount", DataType::Float)]),
         rows,
         Some(0),
-        qpipe::storage::StorageLayout::Columnar,
     )?;
 
     // 3. Boot the QPipe engine (OSP on by default). Every µEngine runs a
     //    fixed worker pool — `pool_workers: 0` (the default) sizes it to
-    //    cover admitted concurrency (8–16); pin it to make the sizing
+    //    cover admitted concurrency (16–32); pin it to make the sizing
     //    explicit. A second knob, `task_workers` (default: the machine's
     //    cores), sizes the shared CPU pool: with more than one task worker,
     //    a single query is morsel-parallel inside the hot operators — the

@@ -32,7 +32,7 @@ pub use qpipe_workloads as workloads;
 /// One-stop imports for applications.
 pub mod prelude {
     pub use qpipe_common::{
-        sim::TimeScale, Batch, DataType, FaultInjector, FaultKind, FaultOp, FaultRule,
+        sim::TimeScale, ColBatch, DataType, FaultInjector, FaultKind, FaultOp, FaultRule,
         MemoryGovernor, Metrics, QError, QResult, Schema, Tuple, Value,
     };
     pub use qpipe_core::admit::{AdmitConfig, QueryClass};

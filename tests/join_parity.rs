@@ -3,7 +3,9 @@
 //! 1. Hash, merge, and block-nested-loop joins must produce identical result
 //!    multisets on identical inputs — including NULL keys, duplicate keys,
 //!    and cross-type Int/Float keys at the 2^53 boundary where the old lossy
-//!    `i64 → f64` comparison silently merged distinct keys.
+//!    `i64 → f64` comparison silently merged distinct keys. Tables are typed,
+//!    so the cross-type cases join an `Int`-keyed table with a `Float`-keyed
+//!    one, in both directions.
 //! 2. The QPipe engine's vectorized join/agg µEngine workers must agree with
 //!    the row-path iterator operators on the whole TPC-H mix.
 //! 3. A TPC-H Q12-shaped join+agg plan over columnar storage must execute
@@ -12,8 +14,7 @@
 
 use qpipe::prelude::*;
 use qpipe::quick_system;
-use qpipe::storage::StorageLayout;
-use qpipe::workloads::tpch::{self, build_tpch_with_layout, TpchScale, MIX};
+use qpipe::workloads::tpch::{self, build_tpch, TpchScale, MIX};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -29,33 +30,58 @@ fn sorted(mut rows: Vec<Tuple>) -> Vec<Tuple> {
     rows
 }
 
-/// Adversarial join keys: NULLs, dense duplicates, and Int/Float values
-/// straddling the 2^53 exactness boundary and the i64 extremes.
-fn adversarial_key(rng: &mut StdRng) -> Value {
+/// Adversarial join keys of one type: NULLs, dense duplicates, and values
+/// straddling the 2^53 exactness boundary and the i64 extremes. Joining an
+/// `Int` key table with a `Float` one pits each against the other type.
+fn adversarial_key(rng: &mut StdRng, ty: DataType) -> Value {
     let big = 1i64 << 53;
+    let float = ty == DataType::Float;
     match rng.gen_range(0..8) {
         0 => Value::Null,
-        1 => Value::Int(rng.gen_range(-4..4)),
-        2 => Value::Float(rng.gen_range(-4..4) as f64),
-        3 => Value::Int(big + rng.gen_range(-2..=2)),
-        4 => Value::Float((big + rng.gen_range(-2..=2)) as f64),
-        5 => Value::Int(*[i64::MIN, i64::MAX, 0].get(rng.gen_range(0..3)).unwrap()),
-        6 => Value::Float(
+        1 | 2 if float => Value::Float((big + rng.gen_range(-2..=2)) as f64),
+        1 | 2 => Value::Int(big + rng.gen_range(-2..=2)),
+        3 | 4 if float => Value::Float(
             *[i64::MIN as f64, i64::MAX as f64, -0.0, 0.5, (big + 1) as f64]
                 .get(rng.gen_range(0..5))
                 .unwrap(),
         ),
+        3 | 4 => Value::Int(*[i64::MIN, i64::MAX, 0].get(rng.gen_range(0..3)).unwrap()),
+        _ if float => Value::Float(rng.gen_range(-4..4) as f64),
         _ => Value::Int(rng.gen_range(-4..4)),
     }
 }
 
-fn key_table(rng: &mut StdRng, n: usize, tag_base: i64) -> Vec<Tuple> {
-    let mut rows: Vec<Tuple> =
-        (0..n).map(|i| vec![adversarial_key(rng), Value::Int(tag_base + i as i64)]).collect();
-    // Merge join needs key-ordered inputs; NULLs sort first and are skipped
-    // by every join flavor.
-    rows.sort_by(|a, b| a[0].total_cmp(&b[0]));
-    rows
+/// A `(k, tag)` table whose keys all have type `ty`, sorted on the key.
+struct KeyTable {
+    ty: DataType,
+    rows: Vec<Tuple>,
+}
+
+impl KeyTable {
+    fn new(rng: &mut StdRng, ty: DataType, n: usize, tag_base: i64) -> Self {
+        let mut rows: Vec<Tuple> = (0..n)
+            .map(|i| vec![adversarial_key(rng, ty), Value::Int(tag_base + i as i64)])
+            .collect();
+        // Merge join needs key-ordered inputs; NULLs sort first and are
+        // skipped by every join flavor.
+        rows.sort_by(|a, b| a[0].total_cmp(&b[0]));
+        Self { ty, rows }
+    }
+
+    fn load(&self, catalog: &Catalog, name: &str) {
+        let schema = Schema::of(&[("k", self.ty), ("tag", DataType::Int)]);
+        catalog.create_table(name, schema, self.rows.clone(), None).unwrap();
+    }
+}
+
+/// `(left, right)` table pairs of `left` and `right` rows: `Int` keys
+/// joined with `Float` keys, then the other way round.
+fn cross_type_pairs(rng: &mut StdRng, left: usize, right: usize) -> [(KeyTable, KeyTable); 2] {
+    let (i, f) = (DataType::Int, DataType::Float);
+    [
+        (KeyTable::new(rng, i, left, 0), KeyTable::new(rng, f, right, 1000)),
+        (KeyTable::new(rng, f, left, 0), KeyTable::new(rng, i, right, 1000)),
+    ]
 }
 
 /// Ground truth: the exact cartesian product of equal-key groups, NULLs
@@ -81,25 +107,26 @@ fn reference_join(left: &[Tuple], right: &[Tuple]) -> Vec<Tuple> {
 fn hash_merge_bnl_join_parity_on_adversarial_keys() {
     for seed in [1u64, 7, 42, 0xBEEF] {
         let mut rng = StdRng::seed_from_u64(seed);
-        let left = key_table(&mut rng, 120, 0);
-        let right = key_table(&mut rng, 90, 1000);
-        let catalog = quick_system(DiskConfig::instant(), 128);
-        let schema = || Schema::of(&[("k", DataType::Int), ("tag", DataType::Int)]);
-        catalog.create_table("l", schema(), left.clone(), None).unwrap();
-        catalog.create_table("r", schema(), right.clone(), None).unwrap();
-        let ctx = ExecContext::new(catalog);
-        let expected = sorted(reference_join(&left, &right));
+        for (left, right) in cross_type_pairs(&mut rng, 120, 90) {
+            let catalog = quick_system(DiskConfig::instant(), 128);
+            left.load(&catalog, "l");
+            right.load(&catalog, "r");
+            let ctx = ExecContext::new(catalog);
+            let expected = sorted(reference_join(&left.rows, &right.rows));
+            assert!(!expected.is_empty(), "seed {seed}: cross-type keys must join somewhere");
 
-        let hash = PlanNode::scan("l").hash_join(PlanNode::scan("r"), 0, 0);
-        let merge = PlanNode::scan("l").merge_join(PlanNode::scan("r"), 0, 0);
-        let bnl = PlanNode::NestedLoopJoin {
-            left: Arc::new(PlanNode::scan("l")),
-            right: Arc::new(PlanNode::scan("r")),
-            predicate: Expr::col(0).eq(Expr::col(2)),
-        };
-        for (name, plan) in [("hash", hash), ("merge", merge), ("bnl", bnl)] {
-            let got = sorted(qpipe::exec::iter::run(&plan, &ctx).unwrap());
-            assert_eq!(got, expected, "seed {seed}: {name} join diverges from reference");
+            let hash = PlanNode::scan("l").hash_join(PlanNode::scan("r"), 0, 0);
+            let merge = PlanNode::scan("l").merge_join(PlanNode::scan("r"), 0, 0);
+            let bnl = PlanNode::NestedLoopJoin {
+                left: Arc::new(PlanNode::scan("l")),
+                right: Arc::new(PlanNode::scan("r")),
+                predicate: Expr::col(0).eq(Expr::col(2)),
+            };
+            for (name, plan) in [("hash", hash), ("merge", merge), ("bnl", bnl)] {
+                let got = sorted(qpipe::exec::iter::run(&plan, &ctx).unwrap());
+                let dir = format!("{:?} ⋈ {:?}", left.ty, right.ty);
+                assert_eq!(got, expected, "seed {seed}, {dir}: {name} join diverges");
+            }
         }
     }
 }
@@ -110,33 +137,47 @@ fn hash_merge_bnl_join_parity_on_adversarial_keys() {
 #[test]
 fn vectorized_hash_join_matches_row_path_on_adversarial_keys() {
     let mut rng = StdRng::seed_from_u64(0x2A53);
-    let left = key_table(&mut rng, 150, 0);
-    let right = key_table(&mut rng, 150, 1000);
-    let catalog = quick_system(DiskConfig::instant(), 128);
-    let schema = || Schema::of(&[("k", DataType::Int), ("tag", DataType::Int)]);
-    catalog.create_table("l", schema(), left.clone(), None).unwrap();
-    catalog.create_table("r", schema(), right.clone(), None).unwrap();
-    let plan = PlanNode::scan("l").hash_join(PlanNode::scan("r"), 0, 0);
-    let expected =
-        sorted(qpipe::exec::iter::run(&plan, &ExecContext::new(catalog.clone())).unwrap());
-    assert_eq!(expected, sorted(reference_join(&left, &right)));
-    let engine = QPipe::new(catalog, QPipeConfig::default());
-    let got = sorted(engine.submit(plan).unwrap().collect());
-    assert_eq!(got, expected);
+    for (left, right) in cross_type_pairs(&mut rng, 150, 150) {
+        let catalog = quick_system(DiskConfig::instant(), 128);
+        left.load(&catalog, "l");
+        right.load(&catalog, "r");
+        let plan = PlanNode::scan("l").hash_join(PlanNode::scan("r"), 0, 0);
+        let expected =
+            sorted(qpipe::exec::iter::run(&plan, &ExecContext::new(catalog.clone())).unwrap());
+        assert_eq!(expected, sorted(reference_join(&left.rows, &right.rows)));
+        assert!(!expected.is_empty(), "cross-type keys must join somewhere");
+        let engine = QPipe::new(catalog, QPipeConfig::default());
+        let got = sorted(engine.submit(plan).unwrap().collect());
+        assert_eq!(got, expected, "{:?} ⋈ {:?}", left.ty, right.ty);
+    }
 }
 
 #[test]
 fn vectorized_and_row_paths_agree_on_tpch_mix() {
     let catalog = quick_system(DiskConfig::instant(), 512);
-    build_tpch_with_layout(&catalog, TpchScale::tiny(), 42, StorageLayout::Columnar).unwrap();
+    build_tpch(&catalog, TpchScale::tiny(), 42).unwrap();
     let ctx = ExecContext::new(catalog.clone());
     let engine = QPipe::new(catalog, QPipeConfig::default());
     let mut rng = StdRng::seed_from_u64(17);
-    for &q in MIX.iter() {
-        let plan = tpch::query(q, &mut rng);
+    let mut plans: Vec<(String, PlanNode)> =
+        MIX.iter().map(|&q| (format!("Q{q}"), tpch::query(q, &mut rng))).collect();
+    // A hash join whose build side is empty: no customer key is negative.
+    plans.push((
+        "empty build side".into(),
+        PlanNode::scan_filtered("customer", Expr::col(0).lt(Expr::lit(-1))).hash_join(
+            PlanNode::scan("orders"),
+            0,
+            1,
+        ),
+    ));
+    for (name, plan) in plans {
         let reference = sorted(qpipe::exec::iter::run(&plan, &ctx).unwrap());
-        let got = sorted(engine.submit(plan).unwrap().collect());
-        assert_eq!(got, reference, "Q{q}: vectorized µEngines diverge from row-path operators");
+        let got = engine.submit(plan).unwrap().try_collect();
+        assert_eq!(
+            got.map(sorted),
+            Ok(reference),
+            "{name}: vectorized µEngines diverge from row-path operators"
+        );
     }
 }
 
@@ -147,7 +188,7 @@ fn vectorized_and_row_paths_agree_on_tpch_mix() {
 #[test]
 fn q12_shape_executes_columnar_end_to_end() {
     let catalog = quick_system(DiskConfig::instant(), 512);
-    build_tpch_with_layout(&catalog, TpchScale::tiny(), 7, StorageLayout::Columnar).unwrap();
+    build_tpch(&catalog, TpchScale::tiny(), 7).unwrap();
     let ctx = ExecContext::new(catalog.clone());
     let engine = QPipe::new(catalog, QPipeConfig::default());
     let mut rng = StdRng::seed_from_u64(3);
@@ -177,7 +218,7 @@ fn q12_shape_executes_columnar_end_to_end() {
 fn q1_shape_executes_columnar_end_to_end() {
     use qpipe::workloads::tpch::cols::*;
     let catalog = quick_system(DiskConfig::instant(), 512);
-    build_tpch_with_layout(&catalog, TpchScale::tiny(), 11, StorageLayout::Columnar).unwrap();
+    build_tpch(&catalog, TpchScale::tiny(), 11).unwrap();
     let ctx = ExecContext::new(catalog.clone());
     let engine = QPipe::new(catalog, QPipeConfig::default());
 
@@ -238,7 +279,7 @@ fn q1_shape_executes_columnar_end_to_end() {
 fn columnar_sort_spills_columnar_runs_and_matches_row_path() {
     use qpipe::workloads::tpch::cols::*;
     let catalog = quick_system(DiskConfig::instant(), 512);
-    build_tpch_with_layout(&catalog, TpchScale::tiny(), 23, StorageLayout::Columnar).unwrap();
+    build_tpch(&catalog, TpchScale::tiny(), 23).unwrap();
     let disk = catalog.disk().clone();
     let plan = PlanNode::scan("lineitem")
         .filter(Expr::col(L_QUANTITY).ge(Expr::lit(10)))
@@ -270,23 +311,22 @@ fn columnar_sort_spills_columnar_runs_and_matches_row_path() {
 #[test]
 fn join_budget_overflow_falls_back_to_grace_and_agrees() {
     let mut rng = StdRng::seed_from_u64(99);
-    let left = key_table(&mut rng, 400, 0);
-    let right = key_table(&mut rng, 200, 1000);
-    let catalog = quick_system(DiskConfig::instant(), 128);
-    let schema = || Schema::of(&[("k", DataType::Int), ("tag", DataType::Int)]);
-    catalog.create_table("l", schema(), left.clone(), None).unwrap();
-    catalog.create_table("r", schema(), right.clone(), None).unwrap();
-    let plan = PlanNode::scan("l").hash_join(PlanNode::scan("r"), 0, 0);
-    let expected = sorted(reference_join(&left, &right));
-    // Budget far below the 400-row build side forces the grace path.
-    let config = QPipeConfig {
-        exec: ExecConfig { hash_budget: 64, ..ExecConfig::default() },
-        ..QPipeConfig::default()
-    };
-    let engine = QPipe::new(catalog, config);
-    let before = engine.metrics().snapshot();
-    let got = sorted(engine.submit(plan).unwrap().collect());
-    assert_eq!(got, expected);
-    let delta = engine.metrics().snapshot().delta_since(&before);
-    assert!(delta.vec_fallbacks > 0, "overflow must take the row/grace fallback");
+    for (left, right) in cross_type_pairs(&mut rng, 400, 200) {
+        let catalog = quick_system(DiskConfig::instant(), 128);
+        left.load(&catalog, "l");
+        right.load(&catalog, "r");
+        let plan = PlanNode::scan("l").hash_join(PlanNode::scan("r"), 0, 0);
+        let expected = sorted(reference_join(&left.rows, &right.rows));
+        // Budget far below the 400-row build side forces the grace path.
+        let config = QPipeConfig {
+            exec: ExecConfig { hash_budget: 64, ..ExecConfig::default() },
+            ..QPipeConfig::default()
+        };
+        let engine = QPipe::new(catalog, config);
+        let before = engine.metrics().snapshot();
+        let got = sorted(engine.submit(plan).unwrap().collect());
+        assert_eq!(got, expected, "{:?} ⋈ {:?}", left.ty, right.ty);
+        let delta = engine.metrics().snapshot().delta_since(&before);
+        assert!(delta.vec_fallbacks > 0, "overflow must take the row/grace fallback");
+    }
 }

@@ -7,14 +7,24 @@
 //! Dropping the engine must wind all of them down — an engine-per-request
 //! embedding would otherwise accumulate threads until exhaustion (and a
 //! leaked sweeper would keep failing queries of a dead engine).
+//!
+//! Thread counts are process-wide, so every test here holds [`serial`]:
+//! one engine at a time, whatever the harness's test threads.
 
 use qpipe::prelude::*;
 use qpipe::quick_system;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 fn live_threads() -> usize {
     std::fs::read_dir("/proc/self/task").expect("linux procfs").count()
+}
+
+/// Serializes this file's tests, so a thread count sees one engine.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    // A failed test poisons the lock; the next test still runs alone.
+    SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 fn demo_catalog(rows: i64) -> Arc<Catalog> {
@@ -36,6 +46,7 @@ fn demo_catalog(rows: i64) -> Arc<Catalog> {
 /// all joined or wound down, none accumulated).
 #[test]
 fn repeated_engine_lifecycles_do_not_leak_threads() {
+    let _serial = serial();
     let catalog = demo_catalog(500);
     // Deadline + queue timeout force the admission sweeper thread to exist,
     // so this exercises every service thread the engine can own.
@@ -79,6 +90,7 @@ fn repeated_engine_lifecycles_do_not_leak_threads() {
 /// released, and the engine stays usable for the next query.
 #[test]
 fn query_deadline_times_out_slow_queries_end_to_end() {
+    let _serial = serial();
     // A latency-charging disk makes the multi-pass sort take real time.
     let catalog = quick_system(DiskConfig::experiment(), 64);
     let schema = Schema::of(&[("k", DataType::Int), ("v", DataType::Int)]);
@@ -128,6 +140,7 @@ fn query_deadline_times_out_slow_queries_end_to_end() {
 /// spike by roughly one thread per queued packet here.
 #[test]
 fn query_burst_keeps_thread_count_bounded() {
+    let _serial = serial();
     let catalog = demo_catalog(2000);
     let config = QPipeConfig {
         exec: ExecConfig { pool_workers: 2, ..ExecConfig::default() },
@@ -175,15 +188,28 @@ fn query_burst_keeps_thread_count_bounded() {
 /// engine keeps serving later queries.
 #[test]
 fn injected_worker_panic_fails_only_owning_packet() {
+    let _serial = serial();
+    injected_page_panic_is_contained(4);
+}
+
+/// With one task worker every page job runs inline on the scanner thread;
+/// a panic there is contained the same way.
+#[test]
+fn injected_inline_page_panic_fails_only_owning_packet() {
+    let _serial = serial();
+    injected_page_panic_is_contained(1);
+}
+
+fn injected_page_panic_is_contained(task_workers: usize) {
     use qpipe::common::{FaultInjector, FaultKind, FaultOp, FaultRule};
     let catalog = demo_catalog(5000);
     let disk = catalog.disk().clone();
     let config = QPipeConfig {
-        exec: ExecConfig { pool_workers: 4, task_workers: 4, ..ExecConfig::default() },
+        exec: ExecConfig { pool_workers: 4, task_workers, ..ExecConfig::default() },
         ..QPipeConfig::default()
     };
     let engine = QPipe::new(catalog, config);
-    // First read of t's block 0 panics inside whichever worker fetches it.
+    // First read of t's block 0 panics inside whichever thread fetches it.
     let rules = vec![FaultRule::new(FaultKind::Panic)
         .on_file("t")
         .on_blocks(0..1)

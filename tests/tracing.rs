@@ -7,13 +7,12 @@
 use qpipe::common::trace::TraceEvent;
 use qpipe::prelude::*;
 use qpipe::quick_system;
-use qpipe::storage::StorageLayout;
-use qpipe_workloads::tpch::{build_tpch_with_layout, q1, q6, TpchScale};
+use qpipe_workloads::tpch::{build_tpch, q1, q6, TpchScale};
 use std::sync::Arc;
 
-fn columnar_catalog() -> Arc<Catalog> {
+fn tpch_catalog() -> Arc<Catalog> {
     let catalog = quick_system(DiskConfig::instant(), 512);
-    build_tpch_with_layout(&catalog, TpchScale::tiny(), 42, StorageLayout::Columnar).unwrap();
+    build_tpch(&catalog, TpchScale::tiny(), 42).unwrap();
     catalog
 }
 
@@ -27,7 +26,7 @@ fn tracing_config(tracing: bool) -> QPipeConfig {
 /// collected row count and the `tuples_produced` metrics delta.
 #[test]
 fn q1_profile_rows_match_metrics_counters() {
-    let engine = QPipe::new(columnar_catalog(), tracing_config(true));
+    let engine = QPipe::new(tpch_catalog(), tracing_config(true));
     let before = engine.metrics().snapshot();
     let handle = engine.submit(q1(90)).unwrap();
     let tree = handle.probe_tree().expect("tracing on");
@@ -77,7 +76,7 @@ fn q1_profile_rows_match_metrics_counters() {
 /// host rather than read from disk.
 #[test]
 fn osp_shared_scan_pair_records_host_served_pages_on_satellite() {
-    let engine = QPipe::new(columnar_catalog(), tracing_config(true));
+    let engine = QPipe::new(tpch_catalog(), tracing_config(true));
     let before = engine.metrics().snapshot();
     let host = engine.submit(q6(0, 0.05, 30)).unwrap();
     let sat = engine.submit(q6(400, 0.05, 30)).unwrap();
@@ -115,7 +114,7 @@ fn osp_shared_scan_pair_records_host_served_pages_on_satellite() {
 #[test]
 fn tracing_off_is_silent_and_bit_identical() {
     let run = |tracing: bool| {
-        let engine = QPipe::new(columnar_catalog(), tracing_config(tracing));
+        let engine = QPipe::new(tpch_catalog(), tracing_config(tracing));
         let handle = engine.submit(q1(90)).unwrap();
         let observability = (handle.trace().is_some(), handle.probe_tree().is_some());
         (handle.try_collect().unwrap(), observability)
